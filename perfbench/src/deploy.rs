@@ -52,7 +52,19 @@ impl Workload {
     pub fn write_shape(self) -> (usize, usize) {
         match self {
             Workload::IngestDrift => (256, 4),
-            Workload::EdgeUniform | Workload::FleetHotspot => (64, 4),
+            Workload::EdgeUniform => (16, 2),
+            Workload::FleetHotspot => (64, 4),
+        }
+    }
+
+    /// Rounds of an end-to-end run. Many short rounds sample the host's
+    /// speed, which drifts over seconds, all through the run; the fleet
+    /// keeps fewer, because each of its write waves retrains all eight
+    /// shard servers.
+    pub fn rounds(self) -> usize {
+        match self {
+            Workload::EdgeUniform | Workload::IngestDrift => 30,
+            Workload::FleetHotspot => 10,
         }
     }
 

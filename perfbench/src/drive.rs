@@ -39,8 +39,8 @@ pub struct Log {
     /// time minus the later of its due time and the previous answer.
     pub lag_us: Vec<f64>,
     pub scrape_us: Vec<f64>,
-    /// Closed loop: completions per `SLICE` of the phase.
-    pub slices: Vec<u32>,
+    /// Closed loop: requests answered (scrapes not counted).
+    pub completed: u64,
     pub attempted: u64,
     pub failed: u64,
 }
@@ -50,12 +50,7 @@ impl Log {
         self.latency_us.extend(other.latency_us);
         self.lag_us.extend(other.lag_us);
         self.scrape_us.extend(other.scrape_us);
-        if self.slices.len() < other.slices.len() {
-            self.slices.resize(other.slices.len(), 0);
-        }
-        for (mine, theirs) in self.slices.iter_mut().zip(other.slices) {
-            *mine += theirs;
-        }
+        self.completed += other.completed;
         self.attempted += other.attempted;
         self.failed += other.failed;
     }
@@ -212,18 +207,14 @@ pub fn open_loop(
     log
 }
 
-/// Length of one closed-loop throughput slice.
-const SLICE: Duration = Duration::from_millis(250);
-
-/// Sends `pool` requests back to back until `end`, counting
-/// completions per slice (nothing per request, so memory does not grow
-/// with throughput).
+/// Sends `pool` requests back to back until `end`, counting the
+/// answered ones (nothing per request, so memory does not grow with
+/// throughput).
 pub fn closed_loop(
     client: &mut HttpClient,
     pool: &[Query],
     oracle: &Oracle,
     walk: Walk,
-    start: Instant,
     end: Instant,
     mut scrapes: Option<&mut ScrapeClock>,
 ) -> Log {
@@ -239,26 +230,11 @@ pub fn closed_loop(
         }
         let pos = walk.at(i, pool.len());
         let query = &pool[pos];
-        let (got, done, _) = send(client, query, None);
+        let (got, _, _) = send(client, query, None);
         log.record(judge(oracle, pos, query, got, sent, None));
-        let slice = ((done - start).as_nanos() / SLICE.as_nanos()) as usize;
-        if log.slices.len() <= slice {
-            log.slices.resize(slice + 1, 0);
-        }
-        log.slices[slice] += 1;
+        log.completed += 1;
     }
     log
-}
-
-/// Completed requests per second in each whole slice of a closed
-/// phase.
-pub fn slice_rates(log: &Log, phase: Duration) -> Vec<f64> {
-    let whole = (phase.as_nanos() / SLICE.as_nanos()) as usize;
-    log.slices
-        .iter()
-        .take(whole)
-        .map(|&c| f64::from(c) / SLICE.as_secs_f64())
-        .collect()
 }
 
 /// One maintenance pass of the ingest stream.

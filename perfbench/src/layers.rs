@@ -4,9 +4,9 @@
 use crate::deploy::{setup, Deployment, Workload};
 use crate::drive::{self, http_phases, Log, ScrapeClock};
 use crate::plan::{
-    closed_phase, expect_all, lookups, open_phase, probe_phase, replay, stream_phase, write_oracle,
-    write_probe, Traffic, CLOSED_SHARE, OPEN_SHARE, PROBES, ROUNDS, STREAM_CLOSED_SHARE,
-    STREAM_SHARE,
+    closed_phase, expect_all, expect_probes, lookups, open_phase, probe_phase, replay,
+    stream_phase, stream_seconds, write_oracle, write_probe, Traffic, CLOSED_SHARE,
+    DRIFT_CLOSED_SHARE, DRIFT_PROBE_SHARE, OPEN_SHARE, PROBE_SHARE,
 };
 use crate::trace::{codec_ns, ladder, per_call_ns, RUNGS};
 use crate::traffic::{expected, Kind, Oracle, Query};
@@ -18,10 +18,13 @@ use fsi::{
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Deployments built per end-to-end run; `setup_s` is their median.
-const SETUPS: usize = 5;
+/// Besides the deployment that serves an end-to-end run, one more is
+/// built and torn down after every `SETUP_EVERY`-th round, so that
+/// `setup_s`, the median of all of them, samples the host through the
+/// whole run.
+const SETUP_EVERY: usize = 3;
 /// Percentile reported as `lookup_tail_us`.
 pub const TAIL: f64 = 0.75;
 /// A run whose generator sent its p99 request later than this after it
@@ -47,107 +50,171 @@ fn rebuilt(client: &mut HttpClient, dep: &Deployment, log: &mut Log) {
     log.failed += u64::from(!matches!(got, Ok(Response::Rebuilt { .. })));
 }
 
+/// What the closed phases and probes of a run's rounds add up to.
+#[derive(Default)]
+struct Closed {
+    /// Requests answered in closed phases, and those phases' seconds.
+    answered: u64,
+    seconds: f64,
+    batch_us: Vec<f64>,
+    range_us: Vec<f64>,
+    next_probe: usize,
+}
+
+impl Closed {
+    /// A closed phase of `seconds` over both connections from pool
+    /// position `base`, then, given `probes` (expected answers and
+    /// seconds), batch and range probes on connection 0.
+    #[allow(clippy::too_many_arguments)]
+    fn round(
+        &mut self,
+        clients: &mut [HttpClient; 2],
+        traffic: &Traffic,
+        oracle: &Oracle,
+        base: usize,
+        seconds: f64,
+        probes: Option<(&[Vec<Response>; 2], f64)>,
+        clock: &mut ScrapeClock,
+        log: &mut Log,
+    ) {
+        let (closed, secs) = closed_phase(clients, &traffic.mix, oracle, base, seconds, clock);
+        self.answered += closed.completed;
+        self.seconds += secs;
+        log.absorb(closed);
+        if let Some((want, probe_s)) = probes {
+            let out = (&mut self.batch_us, &mut self.range_us);
+            probe_phase(
+                &mut clients[0],
+                traffic,
+                want,
+                probe_s,
+                &mut self.next_probe,
+                log,
+                out,
+            );
+        }
+    }
+}
+
 pub fn end_to_end(args: &Args) -> BoxResult<Outcome> {
     let w = args.workload;
     let s = args.seconds;
-    // Set up `SETUPS` times; each deployment is torn down before the
-    // next, and the last one serves the run.
+    let rounds = w.rounds();
     let mut setup_s = Vec::new();
-    let mut kept = None;
-    for _ in 0..SETUPS {
-        drop(kept.take());
+    let mut timed_setup = || -> BoxResult<_> {
         let t = Instant::now();
         let built = setup(w)?;
         setup_s.push(t.elapsed().as_secs_f64());
-        kept = Some(built);
-    }
-    let (dep, mut clients) = kept.expect("SETUPS > 0");
+        Ok(built)
+    };
+    let (dep, mut clients) = timed_setup()?;
+    // Each round takes its share of the time left (less `reserve`
+    // seconds kept for later), so that untimed work running long on a
+    // slow host does not stretch the run much; a quarter of an even
+    // share at least, so that every phase is timed.
+    let run_end = Instant::now() + Duration::from_secs_f64(s);
+    let round_s = |round: usize, reserve: f64| {
+        let left = run_end
+            .saturating_duration_since(Instant::now())
+            .as_secs_f64()
+            - reserve;
+        (left / (rounds - round) as f64).max(s / rounds as f64 / 4.0)
+    };
     let traffic = Traffic::new(&dep, args.seed, s);
     let mut log = Log::default();
-    let (mut batch_us, mut range_us, mut rates) = (Vec::new(), Vec::new(), Vec::new());
+    let mut closed = Closed::default();
     let mut ingest_us = Vec::new();
-    let per_round = PROBES / ROUNDS;
     let mut clock = ScrapeClock::new();
-    let (lookup_us, lag_us, rebuild_ms): (_, _, Vec<f64>);
+    let (mut lookup_us, mut lag_us, mut rebuild_ms) = (Vec::new(), Vec::new(), Vec::new());
+    let (batch_us, range_us);
     if w == Workload::IngestDrift {
-        let (writes, reads, _) =
-            stream_phase(&dep, &mut clients, &traffic, s * STREAM_SHARE, false);
-        lookup_us = lookups(&reads);
-        lag_us = reads.lag_us.clone();
-        log.absorb(reads);
-        ingest_us = writes.ingest_us;
-        rebuild_ms = writes
-            .passes
-            .iter()
-            .filter(|p| p.published_log.is_some())
-            .map(|p| p.ms)
-            .collect();
-        eprintln!(
-            "perfbench: {} batches, {} publishing passes, rebuild ms first {:.0} last {:.0}",
-            traffic.writes.len(),
-            rebuild_ms.len(),
-            rebuild_ms.first().copied().unwrap_or(0.0),
-            rebuild_ms.last().copied().unwrap_or(0.0)
-        );
-        log.absorb(writes.log);
-        // Fold every accepted point in, so the served index must equal
-        // the retrained reference.
-        rebuilt(&mut clients[0], &dep, &mut log);
-        let index = write_oracle(&mut clients[0], &dep, &traffic, usize::MAX, &mut log)?;
-        let want = expect_all(&index, &traffic.mix);
-        let oracle = Oracle::Exact(&want);
-        for round in 0..ROUNDS {
-            let base = round * traffic.mix.len() / ROUNDS;
-            let seconds = s * STREAM_CLOSED_SHARE / ROUNDS as f64;
-            let (closed, r) = closed_phase(
-                &mut clients,
-                &traffic.mix,
-                &oracle,
-                base,
-                seconds,
-                &mut clock,
-            );
-            rates.extend(r);
-            log.absorb(closed);
-            let span = round * per_round..(round + 1) * per_round;
-            let out = (&mut batch_us, &mut range_us);
-            probe_phase(&mut clients[0], &traffic, &index, span, &mut log, out);
+        // Half the rounds run before the stream, on the set-up index,
+        // and half after it, on the retrained one, so that they sample
+        // the host at both ends of the run.
+        let stream_s = stream_seconds(s);
+        let half = rounds / 2;
+        let mut index = dep.reference.clone();
+        for part in [0..half, half..rounds] {
+            if part.start == half {
+                let (writes, reads, _) =
+                    stream_phase(&dep, &mut clients, &traffic, stream_s, false);
+                lookup_us = lookups(&reads);
+                lag_us = reads.lag_us.clone();
+                log.absorb(reads);
+                ingest_us = writes.ingest_us;
+                rebuild_ms = writes
+                    .passes
+                    .iter()
+                    .filter(|p| p.published_log.is_some())
+                    .map(|p| p.ms)
+                    .collect();
+                eprintln!(
+                    "perfbench: {} batches, {} publishing passes, rebuild ms first {:.0} last {:.0}",
+                    traffic.writes.len(),
+                    rebuild_ms.len(),
+                    rebuild_ms.first().copied().unwrap_or(0.0),
+                    rebuild_ms.last().copied().unwrap_or(0.0)
+                );
+                log.absorb(writes.log);
+                // Fold every accepted point in, so the served index must
+                // equal the retrained reference.
+                rebuilt(&mut clients[0], &dep, &mut log);
+                index = write_oracle(&mut clients[0], &dep, &traffic, usize::MAX, &mut log)?;
+            }
+            let want = expect_all(&index, &traffic.mix);
+            let oracle = Oracle::Exact(&want);
+            let probes = expect_probes(&index, &traffic);
+            let reserve = if part.start == 0 { stream_s } else { 0.0 };
+            for round in part {
+                let t = round_s(round, reserve);
+                closed.round(
+                    &mut clients,
+                    &traffic,
+                    &oracle,
+                    round * traffic.mix.len() / rounds,
+                    t * DRIFT_CLOSED_SHARE,
+                    Some((&probes, t * DRIFT_PROBE_SHARE)),
+                    &mut clock,
+                    &mut log,
+                );
+                if round % SETUP_EVERY == SETUP_EVERY - 1 {
+                    drop(timed_setup()?);
+                }
+            }
         }
+        (batch_us, range_us) = (closed.batch_us, closed.range_us);
     } else {
         let mut index = dep.reference.clone();
         let mut open = Log::default();
         let mut rebuilds = Vec::new();
-        for round in 0..ROUNDS {
+        for round in 0..rounds {
+            let t = round_s(round, 0.0);
             let want = expect_all(&index, &traffic.mix);
             let oracle = Oracle::Exact(&want);
-            let base = round * traffic.mix.len() / ROUNDS;
+            let base = round * traffic.mix.len() / rounds;
             let (o, _) = open_phase(
                 &mut clients,
                 &traffic.mix,
                 &oracle,
                 base,
                 w.open_rate(),
-                s * OPEN_SHARE / ROUNDS as f64,
+                t * OPEN_SHARE,
                 &mut clock,
                 false,
             );
             open.absorb(o);
-            let seconds = s * CLOSED_SHARE / ROUNDS as f64;
-            let (closed, r) = closed_phase(
+            let probes = (w == Workload::EdgeUniform)
+                .then(|| (expect_probes(&index, &traffic), t * PROBE_SHARE));
+            closed.round(
                 &mut clients,
-                &traffic.mix,
+                &traffic,
                 &oracle,
                 base,
-                seconds,
+                t * CLOSED_SHARE,
+                probes.as_ref().map(|(want, secs)| (want, *secs)),
                 &mut clock,
+                &mut log,
             );
-            rates.extend(r);
-            log.absorb(closed);
-            if w == Workload::EdgeUniform {
-                let span = round * per_round..(round + 1) * per_round;
-                let out = (&mut batch_us, &mut range_us);
-                probe_phase(&mut clients[0], &traffic, &index, span, &mut log, out);
-            }
             // This round's writes; the oracle then follows the served
             // index to its new generation.
             let batches = round * traffic.wave..(round + 1) * traffic.wave;
@@ -167,10 +234,14 @@ pub fn end_to_end(args: &Args) -> BoxResult<Outcome> {
                 traffic.points_in(batches.end),
                 &mut log,
             )?;
+            if round % SETUP_EVERY == SETUP_EVERY - 1 {
+                drop(timed_setup()?);
+            }
         }
-        if w == Workload::FleetHotspot {
-            (batch_us, range_us) = (open.of(Kind::Batch), open.of(Kind::Range));
-        }
+        (batch_us, range_us) = match w {
+            Workload::FleetHotspot => (open.of(Kind::Batch), open.of(Kind::Range)),
+            _ => (closed.batch_us, closed.range_us),
+        };
         rebuild_ms = rebuilds.iter().map(|r| r.0).collect();
         lookup_us = lookups(&open);
         lag_us = open.lag_us.clone();
@@ -192,7 +263,7 @@ pub fn end_to_end(args: &Args) -> BoxResult<Outcome> {
         ("ok_frac", ok_frac, "ratio"),
         ("peak_rss_mb", peak_rss_mb(), "MiB"),
         ("ence", dep.ence, "ence"),
-        ("closed_rps", median(&rates), "1/s"),
+        ("closed_rps", closed.answered as f64 / closed.seconds, "1/s"),
         ("batch_p50_us", median(&batch_us), "us"),
         ("range_p50_us", median(&range_us), "us"),
         ("ingest_p50_us", median(&ingest_us), "us"),
@@ -469,7 +540,7 @@ pub fn run(args: &Args) -> BoxResult<Outcome> {
     let (ingest_log_points, buffered_max, passes): (usize, u64, Vec<(f64, usize)>);
     if w == Workload::IngestDrift {
         let (writes, reads, stream_tracer) =
-            stream_phase(&dep, &mut clients, &traffic, s * STREAM_SHARE, true);
+            stream_phase(&dep, &mut clients, &traffic, stream_seconds(s), true);
         tracer.absorb(stream_tracer.expect("traced stream records spans"));
         scrape_us.extend(&writes.log.scrape_us);
         log.absorb(reads);

@@ -13,20 +13,33 @@ use std::time::{Duration, Instant};
 
 /// Points per `LookupBatch`.
 pub const LOOKUP_BATCH: usize = 64;
-/// Rounds of an end-to-end run: each round runs every phase once.
-pub const ROUNDS: usize = 10;
-/// Batch and range requests in the closed probe of workloads whose
-/// main traffic has none.
+/// Batch and range requests in the probe pools of workloads whose main
+/// traffic has none; probes walk them round after round, wrapping.
 pub const PROBES: usize = 1000;
 
-/// Share of the run each phase takes.
-pub const OPEN_SHARE: f64 = 0.5;
+/// Share of the run each phase of a read-mostly round takes; the rest
+/// is left for the round's untimed write wave, its oracle and the
+/// set-ups timed between rounds.
+pub const OPEN_SHARE: f64 = 0.38;
 pub const CLOSED_SHARE: f64 = 0.3;
-pub const STREAM_SHARE: f64 = 0.7;
-pub const STREAM_CLOSED_SHARE: f64 = 0.2;
+pub const PROBE_SHARE: f64 = 0.12;
+/// Share of each of `ingest_drift`'s rounds around its stream each
+/// phase takes; the rest is left for the set-ups timed between rounds.
+pub const DRIFT_CLOSED_SHARE: f64 = 0.5;
+pub const DRIFT_PROBE_SHARE: f64 = 0.35;
 
 /// Seconds between streamed ingest batches on `ingest_drift`.
 pub const STREAM_INTERVAL: Duration = Duration::from_millis(500);
+/// The longest ingest stream: 42 batches, long enough for the growing
+/// ingest log to set `rebuild_p50_ms`.
+const STREAM_MAX_SECONDS: f64 = 21.0;
+
+/// How long `ingest_drift` streams in a run of `seconds`: 70 % of the
+/// run, at most `STREAM_MAX_SECONDS`, so longer runs spend the rest on
+/// the rounds around the stream.
+pub fn stream_seconds(seconds: f64) -> f64 {
+    (0.7 * seconds).min(STREAM_MAX_SECONDS)
+}
 
 pub struct Traffic {
     /// The open- and closed-loop request sequence.
@@ -84,9 +97,9 @@ impl Traffic {
         let (batch_points, wave) = w.write_shape();
         let n_writes = match w {
             Workload::IngestDrift => {
-                (seconds * STREAM_SHARE / STREAM_INTERVAL.as_secs_f64()).round() as usize
+                (stream_seconds(seconds) / STREAM_INTERVAL.as_secs_f64()).round() as usize
             }
-            _ => ROUNDS * wave,
+            _ => w.rounds() * wave,
         };
         let mut rng = crate::util::Rng::new(seed, 3);
         let mut centre = (0.5, 0.5);
@@ -182,7 +195,8 @@ pub fn open_phase(
 
 /// Closed loop over both connections for `seconds`, walking the pool
 /// from position `base`, connection 0 scraping on `clock`; answers the
-/// log and the completed requests per second of each 250 ms slice.
+/// log and the phase's length in seconds, from its start until both
+/// connections have their last answer.
 pub fn closed_phase(
     clients: &mut [HttpClient; 2],
     pool: &[Query],
@@ -190,64 +204,59 @@ pub fn closed_phase(
     base: usize,
     seconds: f64,
     clock: &mut ScrapeClock,
-) -> (Log, Vec<f64>) {
+) -> (Log, f64) {
     let start = Instant::now();
     let end = start + Duration::from_secs_f64(seconds);
     let [c0, c1] = clients;
+    let walk = |c: usize| Walk {
+        first: base + c,
+        stride: 2,
+    };
     let (a, b) = std::thread::scope(|s| {
-        let h = s.spawn(|| {
-            drive::closed_loop(
-                c1,
-                pool,
-                oracle,
-                Walk {
-                    first: base + 1,
-                    stride: 2,
-                },
-                start,
-                end,
-                None,
-            )
-        });
-        let a = drive::closed_loop(
-            c0,
-            pool,
-            oracle,
-            Walk {
-                first: base,
-                stride: 2,
-            },
-            start,
-            end,
-            Some(clock),
-        );
+        let h = s.spawn(|| drive::closed_loop(c1, pool, oracle, walk(1), end, None));
+        let a = drive::closed_loop(c0, pool, oracle, walk(0), end, Some(clock));
         (a, h.join().expect("load thread panicked"))
     });
+    let elapsed = start.elapsed().as_secs_f64();
     let mut log = a;
     log.absorb(b);
-    let rates = drive::slice_rates(&log, Duration::from_secs_f64(seconds));
-    (log, rates)
+    (log, elapsed)
 }
 
-/// Closed batch and range probes on one connection, pool positions
-/// `span`; adds the round trips of each kind to `batch` and `range`.
+/// Expected answers to the probe pools: batches, then ranges.
+pub fn expect_probes(index: &FrozenIndex, traffic: &Traffic) -> [Vec<Response>; 2] {
+    [
+        expect_all(index, &traffic.batches),
+        expect_all(index, &traffic.ranges),
+    ]
+}
+
+/// Closed batch and range probes, alternating on one connection for
+/// `seconds` from pool position `*next` on; adds the round trips of
+/// each kind to `batch` and `range`, and advances `*next`.
+#[allow(clippy::too_many_arguments)]
 pub fn probe_phase(
     client: &mut HttpClient,
     traffic: &Traffic,
-    index: &FrozenIndex,
-    span: std::ops::Range<usize>,
+    want: &[Vec<Response>; 2],
+    seconds: f64,
+    next: &mut usize,
     log: &mut Log,
     (batch, range): (&mut Vec<f64>, &mut Vec<f64>),
 ) {
-    for (b, r) in traffic.batches[span.clone()]
-        .iter()
-        .zip(&traffic.ranges[span])
-    {
-        for (q, out) in [(b, &mut *batch), (r, &mut *range)] {
+    let end = Instant::now() + Duration::from_secs_f64(seconds);
+    while Instant::now() < end {
+        let i = *next % PROBES;
+        *next += 1;
+        let probes = [
+            (&traffic.batches[i], &want[0][i], &mut *batch),
+            (&traffic.ranges[i], &want[1][i], &mut *range),
+        ];
+        for (q, expect, out) in probes {
             let t = Instant::now();
             let got = client.call(&q.request);
             out.push(micros(t.elapsed()));
-            let ok = got.is_ok_and(|g| same(&g, &expected(index, &q.request)));
+            let ok = got.is_ok_and(|g| same(&g, expect));
             log.attempted += 1;
             log.failed += u64::from(!ok);
         }
