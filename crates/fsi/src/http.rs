@@ -28,6 +28,16 @@
 //! the differential transport tests, the benchmark suite and the CI
 //! smoke step.
 //!
+//! ## Framing
+//!
+//! Every HTTP message — each response, whether a `/query` answer,
+//! `/metrics` or a 4xx, and each client request — leaves in exactly
+//! one `write_all` of one buffer. The head and body are formatted into
+//! a byte buffer owned by the connection (server) or the client and
+//! reused across messages. Formatting straight onto the socket would
+//! make one `write(2)` per format piece, and with `TCP_NODELAY` each
+//! piece would go out as its own segment and wake the peer.
+//!
 //! ## Observability
 //!
 //! `GET /metrics` answers the Prometheus text exposition of the served
@@ -378,6 +388,8 @@ fn serve_connection(
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
+    // One response frame, cleared and reused for every answer.
+    let mut frame = Vec::new();
 
     loop {
         let head = match read_head(&mut reader, stop)? {
@@ -406,6 +418,7 @@ fn serve_connection(
             let write_started = Instant::now();
             write_http(
                 &mut writer,
+                &mut frame,
                 200,
                 "OK",
                 METRICS_CONTENT_TYPE,
@@ -449,6 +462,7 @@ fn serve_connection(
             let keep_alive = head.keep_alive && drainable;
             write_http(
                 &mut writer,
+                &mut frame,
                 status,
                 reason,
                 "application/json",
@@ -467,6 +481,7 @@ fn serve_connection(
             // Without a length the connection is unframed: answer and close.
             write_http(
                 &mut writer,
+                &mut frame,
                 411,
                 "Length Required",
                 "application/json",
@@ -481,6 +496,7 @@ fn serve_connection(
         if length > MAX_BODY_BYTES {
             write_http(
                 &mut writer,
+                &mut frame,
                 413,
                 "Content Too Large",
                 "application/json",
@@ -518,6 +534,7 @@ fn serve_connection(
         let write_started = Instant::now();
         write_http(
             &mut writer,
+            &mut frame,
             status,
             reason,
             "application/json",
@@ -590,9 +607,26 @@ fn error_wire(error: ErrorBody) -> String {
     encode_response(&Response::Error { error })
 }
 
-/// Writes one framed HTTP response.
-fn write_http(
-    writer: &mut TcpStream,
+/// Formats `head` and `body` into `frame` (cleared first, so its
+/// allocation is reused) and sends the whole message in one
+/// `write_all`.
+fn send_framed<W: Write>(
+    writer: &mut W,
+    frame: &mut Vec<u8>,
+    head: std::fmt::Arguments<'_>,
+    body: &str,
+) -> std::io::Result<()> {
+    frame.clear();
+    frame.write_fmt(head)?;
+    frame.extend_from_slice(body.as_bytes());
+    writer.write_all(frame)?;
+    writer.flush()
+}
+
+/// Writes one framed HTTP response through `frame`.
+fn write_http<W: Write>(
+    writer: &mut W,
+    frame: &mut Vec<u8>,
     status: u16,
     reason: &str,
     content_type: &str,
@@ -600,12 +634,38 @@ fn write_http(
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
+    send_framed(
         writer,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
-        body.len()
-    )?;
-    writer.flush()
+        frame,
+        format_args!(
+            "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+            body.len()
+        ),
+        body,
+    )
+}
+
+/// Writes one framed `POST /query` request through `frame`.
+fn write_post<W: Write>(writer: &mut W, frame: &mut Vec<u8>, body: &str) -> std::io::Result<()> {
+    send_framed(
+        writer,
+        frame,
+        format_args!(
+            "POST /query HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        ),
+        body,
+    )
+}
+
+/// Writes one framed bodyless `GET` request through `frame`.
+fn write_get<W: Write>(writer: &mut W, frame: &mut Vec<u8>, path: &str) -> std::io::Result<()> {
+    send_framed(
+        writer,
+        frame,
+        format_args!("GET {path} HTTP/1.1\r\n\r\n"),
+        "",
+    )
 }
 
 /// A blocking keep-alive client for the HTTP transport: one TCP
@@ -613,6 +673,8 @@ fn write_http(
 pub struct HttpClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The request frame, cleared and reused for every request.
+    frame: Vec<u8>,
 }
 
 impl HttpClient {
@@ -623,6 +685,7 @@ impl HttpClient {
         Ok(Self {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
+            frame: Vec::new(),
         })
     }
 
@@ -643,20 +706,14 @@ impl HttpClient {
     /// Sends a raw body and returns `(status, response body)` without
     /// decoding — the escape hatch for protocol tests.
     pub fn post(&mut self, body: &str) -> Result<(u16, String), FsiError> {
-        write!(
-            self.writer,
-            "POST /query HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )?;
-        self.writer.flush()?;
+        write_post(&mut self.writer, &mut self.frame, body)?;
         self.read_response()
     }
 
     /// Sends a bodyless `GET` and returns `(status, response body)` —
     /// how `/metrics` is scraped over a keep-alive connection.
     pub fn get(&mut self, path: &str) -> Result<(u16, String), FsiError> {
-        write!(self.writer, "GET {path} HTTP/1.1\r\n\r\n")?;
-        self.writer.flush()?;
+        write_get(&mut self.writer, &mut self.frame, path)?;
         self.read_response()
     }
 
@@ -703,8 +760,21 @@ impl HttpClient {
                 }
             }
         }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
+        // The peer's Content-Length is a claim, not an allocation size:
+        // the body grows only with the bytes that actually arrive.
+        let mut body = Vec::new();
+        (&mut self.reader)
+            .take(content_length as u64)
+            .read_to_end(&mut body)?;
+        if body.len() != content_length {
+            return Err(FsiError::Io(std::io::Error::new(
+                ErrorKind::UnexpectedEof,
+                format!(
+                    "connection closed after {} of {content_length} body bytes",
+                    body.len()
+                ),
+            )));
+        }
         let body = String::from_utf8(body).map_err(|e| {
             FsiError::Io(std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
         })?;
@@ -1193,6 +1263,167 @@ mod tests {
         assert!(http.active >= 1, "{http:?}");
         assert!(http.requests >= 2, "{http:?}");
         server.shutdown();
+    }
+
+    /// A `Write` that records every `write` call, to pin the
+    /// one-write-per-message framing.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_leaves_in_one_write_through_a_reused_frame() {
+        let mut service = service();
+        let answer = encode_response(&service.dispatch(&Request::Lookup { x: 0.1, y: 0.1 }));
+        let metrics = match service.dispatch(&Request::Metrics) {
+            Response::Metrics { metrics } => prometheus_text(&metrics),
+            other => panic!("expected metrics, got {other:?}"),
+        };
+        let rejected = error_wire(ErrorBody::new(
+            ErrorCode::MalformedRequest,
+            "unknown path /nope; POST to /query",
+        ));
+        // The largest message first: the later, smaller ones must fit
+        // the same allocation.
+        let mut frame = Vec::new();
+        let cases = [
+            (200, "OK", METRICS_CONTENT_TYPE, metrics.as_str(), true),
+            (200, "OK", "application/json", answer.as_str(), true),
+            (
+                404,
+                "Not Found",
+                "application/json",
+                rejected.as_str(),
+                false,
+            ),
+        ];
+        let mut allocation = None;
+        for (status, reason, content_type, body, keep_alive) in cases {
+            let mut out = CountingWriter::default();
+            write_http(
+                &mut out,
+                &mut frame,
+                status,
+                reason,
+                content_type,
+                body,
+                keep_alive,
+            )
+            .unwrap();
+            assert_eq!(out.writes, 1, "{status} took {} writes", out.writes);
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            let expected = format!(
+                "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
+                body.len()
+            );
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
+            let now = (frame.as_ptr(), frame.capacity());
+            assert_eq!(*allocation.get_or_insert(now), now, "frame reallocated");
+        }
+    }
+
+    #[test]
+    fn every_client_request_leaves_in_one_write() {
+        let body = fsi_proto::encode_request(&Request::Lookup { x: 0.1, y: 0.1 });
+        let mut frame = Vec::new();
+        let mut out = CountingWriter::default();
+        write_post(&mut out, &mut frame, &body).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            format!(
+                "POST /query HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+        );
+        let mut out = CountingWriter::default();
+        write_get(&mut out, &mut frame, "/metrics").unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(out.bytes, b"GET /metrics HTTP/1.1\r\n\r\n");
+    }
+
+    #[test]
+    fn lookup_answers_carry_the_exact_golden_head() {
+        let server = HttpServer::bind(service(), "127.0.0.1:0").unwrap();
+        let request = Request::Lookup { x: 0.1, y: 0.1 };
+        let expected_body = encode_response(&service().dispatch(&request));
+        let body = fsi_proto::encode_request(&request);
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .write_all(
+                format!(
+                    "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .as_bytes(),
+            )
+            .unwrap();
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+            expected_body.len()
+        );
+        let mut got = vec![0u8; head.len() + expected_body.len()];
+        stream.read_exact(&mut got).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&got[..head.len()]),
+            head,
+            "response head drifted"
+        );
+        assert_eq!(String::from_utf8_lossy(&got[head.len()..]), expected_body);
+        server.shutdown();
+    }
+
+    /// Serves one canned response `raw` to the first request on a
+    /// throwaway listener, then hangs up; answers what the client's
+    /// `post` returned.
+    fn post_against_canned(raw: &'static [u8]) -> Result<(u16, String), FsiError> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // Consume the whole (bodyless) request so closing is a
+            // clean FIN, not a reset.
+            let mut seen = Vec::new();
+            let mut chunk = [0u8; 256];
+            while !seen.ends_with(b"\r\n\r\n") {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "client hung up mid-request");
+                seen.extend_from_slice(&chunk[..n]);
+            }
+            stream.write_all(raw).unwrap();
+        });
+        let result = HttpClient::connect(addr).unwrap().post("");
+        peer.join().unwrap();
+        result
+    }
+
+    #[test]
+    fn hostile_content_lengths_error_instead_of_allocating() {
+        let huge =
+            post_against_canned(b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n");
+        assert!(
+            matches!(&huge, Err(FsiError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof),
+            "{huge:?}"
+        );
+        let short = post_against_canned(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc");
+        assert!(
+            matches!(&short, Err(FsiError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof),
+            "{short:?}"
+        );
     }
 
     #[test]

@@ -257,22 +257,32 @@ pub struct ResponseEnvelope {
     pub body: Response,
 }
 
+/// A borrowed envelope: the same `{"v":…,"body":…}` wire form as
+/// [`RequestEnvelope`] / [`ResponseEnvelope`], serialized without
+/// cloning the message into an owned envelope first.
+struct EnvelopeRef<'a, T> {
+    body: &'a T,
+}
+
+impl<T: Serialize> Serialize for EnvelopeRef<'_, T> {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("v".to_string(), PROTO_VERSION.to_value()),
+            ("body".to_string(), self.body.to_value()),
+        ])
+    }
+}
+
 /// Serializes a request into its versioned wire form.
 pub fn encode_request(request: &Request) -> String {
-    serde_json::to_string(&RequestEnvelope {
-        v: PROTO_VERSION,
-        body: request.clone(),
-    })
-    .expect("protocol messages always serialize")
+    serde_json::to_string(&EnvelopeRef { body: request })
+        .expect("protocol messages always serialize")
 }
 
 /// Serializes a response into its versioned wire form.
 pub fn encode_response(response: &Response) -> String {
-    serde_json::to_string(&ResponseEnvelope {
-        v: PROTO_VERSION,
-        body: response.clone(),
-    })
-    .expect("protocol messages always serialize")
+    serde_json::to_string(&EnvelopeRef { body: response })
+        .expect("protocol messages always serialize")
 }
 
 fn check_version(v: u32) -> Result<(), ProtoError> {
@@ -452,6 +462,69 @@ mod tests {
             std::mem::size_of::<Response>() <= 56,
             "Response grew to {} bytes — box the new variant",
             std::mem::size_of::<Response>()
+        );
+    }
+
+    #[test]
+    fn borrowed_envelopes_encode_byte_identical_to_owned_ones() {
+        // Exhaustive matches: a new variant fails to compile here until
+        // it joins the samples below.
+        fn request_kind(request: &Request) -> usize {
+            match request {
+                Request::Lookup { .. } => 0,
+                Request::LookupBatch { .. } => 1,
+                Request::RangeQuery { .. } => 2,
+                Request::Ingest { .. } => 3,
+                Request::IngestBatch { .. } => 4,
+                Request::Stats => 5,
+                Request::Rebuild { .. } => 6,
+                Request::RebuildPrepare { .. } => 7,
+                Request::RebuildCommit => 8,
+                Request::RebuildAbort => 9,
+                Request::Metrics => 10,
+                Request::Health => 11,
+            }
+        }
+        fn response_kind(response: &Response) -> usize {
+            match response {
+                Response::Decision { .. } => 0,
+                Response::Decisions { .. } => 1,
+                Response::Regions { .. } => 2,
+                Response::Ingested { .. } => 3,
+                Response::Stats { .. } => 4,
+                Response::Rebuilt { .. } => 5,
+                Response::Prepared { .. } => 6,
+                Response::Committed { .. } => 7,
+                Response::Aborted => 8,
+                Response::Metrics { .. } => 9,
+                Response::Health { .. } => 10,
+                Response::Error { .. } => 11,
+            }
+        }
+        let mut requests_seen = [false; 12];
+        for request in sample_requests() {
+            requests_seen[request_kind(&request)] = true;
+            let owned = serde_json::to_string(&RequestEnvelope {
+                v: PROTO_VERSION,
+                body: request.clone(),
+            })
+            .unwrap();
+            assert_eq!(encode_request(&request), owned);
+        }
+        let mut responses_seen = [false; 12];
+        for response in sample_responses() {
+            responses_seen[response_kind(&response)] = true;
+            let owned = serde_json::to_string(&ResponseEnvelope {
+                v: PROTO_VERSION,
+                body: response.clone(),
+            })
+            .unwrap();
+            assert_eq!(encode_response(&response), owned);
+        }
+        assert!(requests_seen.iter().all(|&seen| seen), "{requests_seen:?}");
+        assert!(
+            responses_seen.iter().all(|&seen| seen),
+            "{responses_seen:?}"
         );
     }
 
