@@ -8,22 +8,6 @@ use std::fmt;
 pub enum CacheError {
     /// The capacity must hold at least one entry.
     ZeroCapacity,
-    /// The shard count must be at least one.
-    ZeroShards,
-    /// The shard count must be a power of two (shard selection is a
-    /// mask, not a division, on the hot path).
-    ShardsNotPowerOfTwo {
-        /// The rejected shard count.
-        shards: usize,
-    },
-    /// The capacity must divide evenly across the shards so every shard
-    /// bounds exactly `capacity / shards` entries.
-    CapacityNotDivisible {
-        /// The rejected capacity.
-        capacity: usize,
-        /// The shard count it does not divide by.
-        shards: usize,
-    },
 }
 
 impl fmt::Display for CacheError {
@@ -31,18 +15,6 @@ impl fmt::Display for CacheError {
         match self {
             CacheError::ZeroCapacity => {
                 write!(f, "cache capacity must be at least 1 entry")
-            }
-            CacheError::ZeroShards => {
-                write!(f, "cache shard count must be at least 1")
-            }
-            CacheError::ShardsNotPowerOfTwo { shards } => {
-                write!(f, "cache shard count must be a power of two, got {shards}")
-            }
-            CacheError::CapacityNotDivisible { capacity, shards } => {
-                write!(
-                    f,
-                    "cache capacity {capacity} must be divisible by the shard count {shards}"
-                )
             }
         }
     }

@@ -10,20 +10,16 @@
 //!   bumps the publisher's generation, so all previously cached entries
 //!   become unreachable *implicitly*: no flush, no epoch tracking, no
 //!   coordination with readers. Stale entries simply age out of the LRU.
-//! * [`DecisionCache`] — the minimal trait every cache placement speaks:
-//!   `get`, `insert`, and a [`CacheStats`] snapshot of hit/miss/eviction
-//!   counters.
-//! * [`LruCore`] — the single-shard, capacity-bounded, exact-LRU core.
-//!   No locking: a per-worker cache is owned by its worker and accessed
-//!   through `&mut self`, so the hot path pays a hash probe and nothing
-//!   else.
-//! * [`ShardedLru`] — the concurrent placement: cores behind per-shard
-//!   mutexes, selected by cell hash, shared across workers via `Arc`.
-//!   The read path takes exactly one lock — its shard's — and the
-//!   counters aggregate across shards on demand.
-//! * [`CacheSpec`] — the serde-round-trippable configuration
-//!   (capacity, shard count, [`CacheScope`]), validated up front like
-//!   the other specs in this workspace ([`CacheSpec::validate`]).
+//! * [`LruCore`] — the capacity-bounded, exact-LRU core with
+//!   hit/miss/eviction counters ([`CacheStats`]). No locking: a cache is
+//!   owned by its worker and accessed through `&mut self`, so the hot
+//!   path pays a hash probe and nothing else.
+//! * [`FrontedLru`] — the placement the serving layer runs: a
+//!   direct-mapped memo in front of an [`LruCore`], so a hot hit skips
+//!   the hash probe too. Every transport worker owns one.
+//! * [`CacheSpec`] — the serde-round-trippable configuration (the
+//!   per-worker capacity), validated up front like the other specs in
+//!   this workspace ([`CacheSpec::validate`]).
 
 #![forbid(unsafe_code)]
 
@@ -32,8 +28,8 @@ mod lru;
 mod spec;
 
 pub use error::CacheError;
-pub use lru::{FrontedLru, LruCore, ShardedLru};
-pub use spec::{CacheScope, CacheSpec};
+pub use lru::{FrontedLru, LruCore};
+pub use spec::CacheSpec;
 
 /// The cache key: which cell, under which published index.
 ///
@@ -85,23 +81,4 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-}
-
-/// What every decision-cache placement can do.
-///
-/// Methods take `&mut self` so the zero-lock per-worker placement
-/// ([`LruCore`]) and the mutex-sharded shared placement ([`ShardedLru`],
-/// whose interior mutability makes `&mut` a formality) implement one
-/// trait; workers own their placement either way.
-pub trait DecisionCache<V> {
-    /// Returns the cached value for `key`, refreshing its recency;
-    /// counts a hit or a miss.
-    fn get(&mut self, key: CacheKey) -> Option<V>;
-
-    /// Inserts (or refreshes) `key`, evicting the least-recently-used
-    /// entry when at capacity.
-    fn insert(&mut self, key: CacheKey, value: V);
-
-    /// Counter snapshot.
-    fn stats(&self) -> CacheStats;
 }

@@ -3,13 +3,16 @@
 //! multiply-xor hasher (the default SipHash would cost more than the
 //! tree traversal the cache is there to skip).
 
-use crate::{CacheError, CacheKey, CacheSpec, CacheStats, DecisionCache};
+use crate::{CacheError, CacheKey, CacheStats};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex};
 
 /// Null slot reference in the recency list.
 const NIL: u32 = u32::MAX;
+
+/// Entries [`LruCore::new`] reserves up front — the default
+/// [`crate::CacheSpec`] capacity, so the default cache never regrows.
+const MAX_RESERVE: usize = 4096;
 
 /// fxhash-style multiply-xor mixer — two u64 writes per [`CacheKey`],
 /// a few arithmetic ops each.
@@ -47,10 +50,9 @@ struct Slot<V> {
     next: u32,
 }
 
-/// The single-shard LRU core: exact recency order, hard capacity bound,
-/// hit/miss/eviction counters. No interior locking — a per-worker cache
-/// is owned by its worker, and [`ShardedLru`] wraps cores in mutexes
-/// for the shared placement.
+/// The LRU core: exact recency order, hard capacity bound,
+/// hit/miss/eviction counters. No interior locking — a cache is owned
+/// by its worker.
 pub struct LruCore<V> {
     map: HashMap<CacheKey, u32, BuildHasherDefault<FxHasher>>,
     slots: Vec<Slot<V>>,
@@ -74,9 +76,13 @@ impl<V: Clone> LruCore<V> {
         // fit the u32 links (the map would be ≥ 96 GiB before this
         // fires, but the invariant is load-bearing for the links).
         let capacity = capacity.min(NIL as usize - 1);
+        // Reserve at most the default capacity up front; a larger bound
+        // is reached by growing on insert, so a huge configured capacity
+        // costs nothing until entries actually arrive.
+        let reserve = capacity.min(MAX_RESERVE);
         Ok(Self {
-            map: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
-            slots: Vec::with_capacity(capacity),
+            map: HashMap::with_capacity_and_hasher(reserve, BuildHasherDefault::default()),
+            slots: Vec::with_capacity(reserve),
             head: NIL,
             tail: NIL,
             capacity,
@@ -221,21 +227,6 @@ impl<V> std::fmt::Debug for LruCore<V> {
     }
 }
 
-impl<V: Clone> DecisionCache<V> for LruCore<V> {
-    #[inline]
-    fn get(&mut self, key: CacheKey) -> Option<V> {
-        LruCore::get(self, key)
-    }
-
-    fn insert(&mut self, key: CacheKey, value: V) {
-        LruCore::insert(self, key, value)
-    }
-
-    fn stats(&self) -> CacheStats {
-        LruCore::stats(self)
-    }
-}
-
 /// A direct-mapped front over [`LruCore`]: the fast path of the
 /// per-worker placement.
 ///
@@ -284,8 +275,8 @@ impl<V: Copy> FrontedLru<V> {
 
     #[inline]
     fn slot_of(&self, key: CacheKey) -> usize {
-        // Same mix as the shard selector: cell only, so a generation
-        // bump re-uses the slot (and the stale memo loses the compare).
+        // Cell only, so a generation bump re-uses the slot (and the
+        // stale memo loses the compare).
         ((key.cell.wrapping_mul(FX_SEED) >> 32) as usize) & self.mask
     }
 
@@ -328,133 +319,6 @@ impl<V> std::fmt::Debug for FrontedLru<V> {
             .field("front_hits", &self.front_hits)
             .field("lru", &self.lru)
             .finish()
-    }
-}
-
-impl<V: Copy> DecisionCache<V> for FrontedLru<V> {
-    #[inline]
-    fn get(&mut self, key: CacheKey) -> Option<V> {
-        FrontedLru::get(self, key)
-    }
-
-    fn insert(&mut self, key: CacheKey, value: V) {
-        FrontedLru::insert(self, key, value)
-    }
-
-    fn stats(&self) -> CacheStats {
-        FrontedLru::stats(self)
-    }
-}
-
-/// The shared placement: [`LruCore`] shards behind per-shard mutexes,
-/// selected by cell hash. A lookup takes exactly one lock — its
-/// shard's — and a cell stays on its shard across generations (the
-/// generation is deliberately excluded from shard selection), so a
-/// rebuild shifts no traffic between shards.
-pub struct ShardedLru<V> {
-    shards: Vec<Mutex<LruCore<V>>>,
-    mask: u64,
-}
-
-impl<V> std::fmt::Debug for ShardedLru<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedLru")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
-impl<V: Clone> ShardedLru<V> {
-    /// Builds the sharded cache a validated `spec` describes, with
-    /// `capacity / shards` entries per shard.
-    pub fn new(spec: &CacheSpec) -> Result<Self, CacheError> {
-        spec.validate()?;
-        let per_shard = spec.capacity / spec.shards;
-        let shards = (0..spec.shards)
-            .map(|_| LruCore::new(per_shard).map(Mutex::new))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            shards,
-            mask: (spec.shards - 1) as u64,
-        })
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    #[inline]
-    fn shard(&self, key: CacheKey) -> &Mutex<LruCore<V>> {
-        // Multiply-mix the cell and take high-entropy bits; validation
-        // guarantees a power-of-two shard count, so this is a mask.
-        let mixed = key.cell.wrapping_mul(FX_SEED);
-        &self.shards[((mixed >> 32) & self.mask) as usize]
-    }
-
-    /// Returns and recency-refreshes the entry for `key` (locks the
-    /// key's shard only).
-    #[inline]
-    pub fn get(&self, key: CacheKey) -> Option<V> {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-    }
-
-    /// Inserts (or refreshes) `key` in its shard.
-    pub fn insert(&self, key: CacheKey, value: V) {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, value)
-    }
-
-    /// Counter snapshot aggregated across shards. Shards are locked one
-    /// at a time, so concurrent traffic can land between shard reads;
-    /// each per-shard count is exact, and any per-shard counter (and
-    /// therefore the total) is monotone across snapshots.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            let s = shard.lock().unwrap_or_else(|e| e.into_inner()).stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-            total.len += s.len;
-            total.capacity += s.capacity;
-        }
-        total
-    }
-}
-
-impl<V: Clone> DecisionCache<V> for ShardedLru<V> {
-    #[inline]
-    fn get(&mut self, key: CacheKey) -> Option<V> {
-        ShardedLru::get(self, key)
-    }
-
-    fn insert(&mut self, key: CacheKey, value: V) {
-        ShardedLru::insert(self, key, value)
-    }
-
-    fn stats(&self) -> CacheStats {
-        ShardedLru::stats(self)
-    }
-}
-
-impl<V: Clone> DecisionCache<V> for Arc<ShardedLru<V>> {
-    #[inline]
-    fn get(&mut self, key: CacheKey) -> Option<V> {
-        ShardedLru::get(self, key)
-    }
-
-    fn insert(&mut self, key: CacheKey, value: V) {
-        ShardedLru::insert(self, key, value)
-    }
-
-    fn stats(&self) -> CacheStats {
-        ShardedLru::stats(self)
     }
 }
 
@@ -513,46 +377,23 @@ mod tests {
             LruCore::<u64>::new(0).unwrap_err(),
             CacheError::ZeroCapacity
         );
-        let spec = CacheSpec::per_worker(0);
-        assert!(ShardedLru::<u64>::new(&spec).is_err());
+        assert_eq!(
+            FrontedLru::<u64>::new(0).unwrap_err(),
+            CacheError::ZeroCapacity
+        );
     }
 
     #[test]
-    fn sharded_cache_bounds_each_shard_and_aggregates_counters() {
-        let spec = CacheSpec {
-            capacity: 16,
-            shards: 4,
-            scope: crate::CacheScope::Shared,
-        };
-        let c: ShardedLru<u64> = ShardedLru::new(&spec).unwrap();
-        assert_eq!(c.shards(), 4);
-        for cell in 0..200 {
-            c.insert(k(cell, 1), cell);
-        }
+    fn a_huge_capacity_builds_without_reserving_it() {
+        // 2^40 entries would need terabytes if reserved up front.
+        let mut c: FrontedLru<u64> = FrontedLru::new(1 << 40).unwrap();
+        c.insert(k(7, 1), 42);
+        assert_eq!(c.get(k(7, 1)), Some(42));
+        assert_eq!(c.get(k(8, 1)), None);
         let s = c.stats();
-        assert_eq!(s.capacity, 16);
-        assert!(s.len <= 16, "total {} exceeds capacity", s.len);
-        assert_eq!(s.evictions, 200 - s.len as u64);
-        // The last-inserted key of some shard is definitely resident.
-        assert_eq!(c.get(k(199, 1)), Some(199));
-        assert_eq!(c.stats().hits, 1);
-    }
-
-    #[test]
-    fn sharded_cache_works_through_the_trait_and_arc() {
-        fn exercise<C: DecisionCache<u64>>(c: &mut C) {
-            c.insert(k(7, 3), 42);
-            assert_eq!(c.get(k(7, 3)), Some(42));
-            assert_eq!(c.get(k(7, 4)), None);
-            let s = c.stats();
-            assert_eq!((s.hits, s.misses), (1, 1));
-        }
-        exercise(&mut LruCore::new(4).unwrap());
-        exercise(&mut FrontedLru::new(4).unwrap());
-        exercise(&mut ShardedLru::new(&CacheSpec::shared(64)).unwrap());
-        exercise(&mut Arc::new(
-            ShardedLru::new(&CacheSpec::shared(64)).unwrap(),
-        ));
+        // The bound is clamped to what the u32 slot links can address.
+        assert_eq!(s.capacity, NIL as usize - 1);
+        assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
     }
 
     #[test]

@@ -4,77 +4,29 @@
 use crate::CacheError;
 use serde::{Deserialize, Serialize};
 
-/// Where a decision cache lives relative to the transport workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CacheScope {
-    /// Each worker owns a private cache: zero locking on the hot path,
-    /// at the cost of one warm-up (and one capacity) per worker.
-    PerWorker,
-    /// All workers share one sharded cache: one warm-up and one
-    /// capacity, at the cost of a per-shard mutex on the hot path.
-    Shared,
-}
-
-/// Configuration for a decision cache behind a query service.
+/// Configuration for the decision cache behind a query service.
 ///
 /// A spec is inert data — build one, [`validate`](CacheSpec::validate)
-/// it, then hand it to the service layer, which turns it into a
-/// [`crate::LruCore`] (per worker) or a shared [`crate::ShardedLru`].
+/// it, then hand it to the service layer, which gives every transport
+/// worker its own [`crate::FrontedLru`] of this capacity: zero locking
+/// on the hot path, at the cost of one warm-up (and one capacity) per
+/// worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheSpec {
-    /// Total entries the cache holds (split evenly across shards).
+    /// Entries each worker's cache holds.
     pub capacity: usize,
-    /// Shard count of the [`CacheScope::Shared`] placement. Must be a
-    /// power of two dividing `capacity`. Ignored by
-    /// [`CacheScope::PerWorker`], which is its own single shard.
-    pub shards: usize,
-    /// Per-worker or shared placement.
-    pub scope: CacheScope,
 }
 
 impl CacheSpec {
-    /// Default shard count of [`CacheSpec::shared`].
-    pub const DEFAULT_SHARDS: usize = 8;
-
     /// A per-worker cache of `capacity` entries.
     pub fn per_worker(capacity: usize) -> Self {
-        Self {
-            capacity,
-            shards: 1,
-            scope: CacheScope::PerWorker,
-        }
+        Self { capacity }
     }
 
-    /// A shared cache of `capacity` total entries over
-    /// [`CacheSpec::DEFAULT_SHARDS`] shards.
-    pub fn shared(capacity: usize) -> Self {
-        Self {
-            capacity,
-            shards: Self::DEFAULT_SHARDS,
-            scope: CacheScope::Shared,
-        }
-    }
-
-    /// Rejects configurations the cache cannot honor exactly: zero
-    /// capacity or shards, a non-power-of-two shard count, or a
-    /// capacity that does not divide evenly across the shards.
+    /// Rejects a zero capacity.
     pub fn validate(&self) -> Result<(), CacheError> {
         if self.capacity == 0 {
             return Err(CacheError::ZeroCapacity);
-        }
-        if self.shards == 0 {
-            return Err(CacheError::ZeroShards);
-        }
-        if !self.shards.is_power_of_two() {
-            return Err(CacheError::ShardsNotPowerOfTwo {
-                shards: self.shards,
-            });
-        }
-        if !self.capacity.is_multiple_of(self.shards) {
-            return Err(CacheError::CapacityNotDivisible {
-                capacity: self.capacity,
-                shards: self.shards,
-            });
         }
         Ok(())
     }
@@ -95,41 +47,15 @@ mod tests {
     fn validation_catches_each_bad_shape() {
         assert!(CacheSpec::default().validate().is_ok());
         assert!(CacheSpec::per_worker(1).validate().is_ok());
-        assert!(CacheSpec::shared(4096).validate().is_ok());
         assert_eq!(
             CacheSpec::per_worker(0).validate(),
             Err(CacheError::ZeroCapacity)
-        );
-        let mut spec = CacheSpec::shared(64);
-        spec.shards = 0;
-        assert_eq!(spec.validate(), Err(CacheError::ZeroShards));
-        spec.shards = 6;
-        assert_eq!(
-            spec.validate(),
-            Err(CacheError::ShardsNotPowerOfTwo { shards: 6 })
-        );
-        spec.shards = 16;
-        spec.capacity = 40;
-        assert_eq!(
-            spec.validate(),
-            Err(CacheError::CapacityNotDivisible {
-                capacity: 40,
-                shards: 16
-            })
         );
     }
 
     #[test]
     fn specs_round_trip_through_json() {
-        for spec in [
-            CacheSpec::default(),
-            CacheSpec::shared(1024),
-            CacheSpec {
-                capacity: 32,
-                shards: 4,
-                scope: CacheScope::Shared,
-            },
-        ] {
+        for spec in [CacheSpec::default(), CacheSpec::per_worker(1024)] {
             let json = serde_json::to_string(&spec).unwrap();
             let back: CacheSpec = serde_json::from_str(&json).unwrap();
             assert_eq!(spec, back);

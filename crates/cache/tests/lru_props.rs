@@ -1,5 +1,5 @@
-//! Property tests: the LRU implementations against an executable
-//! reference model.
+//! Property tests: the LRU core and its fronted placement against an
+//! executable reference model.
 //!
 //! The model is the textbook definition — an MRU-first vector with the
 //! capacity enforced by popping the back — and every random op sequence
@@ -8,9 +8,7 @@
 //! full-domain probe sweep compares hit/miss per key) same surviving
 //! entries, which pins the eviction *order* too.
 
-use fsi_cache::{
-    CacheKey, CacheScope, CacheSpec, CacheStats, DecisionCache, FrontedLru, LruCore, ShardedLru,
-};
+use fsi_cache::{CacheKey, CacheStats, FrontedLru, LruCore};
 use proptest::collection;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -60,7 +58,7 @@ type Op = (usize, u64, u64);
 
 /// Drives `cache` and the model through `ops`, asserting observational
 /// equivalence after every step.
-fn run_ops<C: DecisionCache<u64>>(cache: &mut C, ops: &[Op], capacity: usize) {
+fn run_ops(cache: &mut LruCore<u64>, ops: &[Op], capacity: usize) {
     let mut model = Model::new(capacity);
     let mut generation: u64 = 1;
     for &(kind, cell, value) in ops {
@@ -126,22 +124,6 @@ proptest! {
     }
 
     #[test]
-    fn single_shard_sharded_lru_matches_the_reference_model(
-        ops in collection::vec((0usize..8, 0u64..CELLS, 0u64..1000), 1..200),
-    ) {
-        // With one shard the sharded placement must behave exactly like
-        // the core — the mutex is the only difference.
-        let spec = CacheSpec {
-            capacity: CAPACITY,
-            shards: 1,
-            scope: CacheScope::Shared,
-        };
-        let mut cache: ShardedLru<u64> = ShardedLru::new(&spec).unwrap();
-        run_ops(&mut cache, &ops, CAPACITY);
-        assert_counter_sanity(cache.stats());
-    }
-
-    #[test]
     fn fronted_lru_never_serves_a_wrong_value(
         ops in collection::vec((0usize..8, 0u64..CELLS, 0u64..1000), 1..300),
     ) {
@@ -183,42 +165,6 @@ proptest! {
             }
             let stats = cache.stats();
             prop_assert!(stats.len <= CAPACITY, "len {} exceeds capacity", stats.len);
-            prop_assert_eq!(stats.hits + stats.misses, gets);
-        }
-    }
-
-    #[test]
-    fn multi_shard_lru_never_exceeds_capacity_and_serves_what_it_stores(
-        ops in collection::vec((0usize..8, 0u64..64, 0u64..1000), 1..300),
-    ) {
-        // Across shards the global recency order interleaves, so the
-        // model comparison is per-invariant instead: the capacity bound
-        // holds, counters balance, and an insert immediately followed
-        // by a get returns the inserted value.
-        let spec = CacheSpec {
-            capacity: 16,
-            shards: 4,
-            scope: CacheScope::Shared,
-        };
-        let cache: ShardedLru<u64> = ShardedLru::new(&spec).unwrap();
-        let mut generation: u64 = 1;
-        let mut gets: u64 = 0;
-        for &(kind, cell, value) in &ops {
-            let key = CacheKey::new(cell, generation);
-            match kind % 8 {
-                0..=4 => {
-                    cache.insert(key, value);
-                    prop_assert_eq!(cache.get(key), Some(value));
-                    gets += 1;
-                }
-                5 | 6 => {
-                    let _ = cache.get(key);
-                    gets += 1;
-                }
-                _ => generation += 1,
-            }
-            let stats = cache.stats();
-            prop_assert!(stats.len <= 16, "len {} exceeds capacity 16", stats.len);
             prop_assert_eq!(stats.hits + stats.misses, gets);
         }
     }

@@ -538,21 +538,6 @@ impl Serving<'_> {
         Ok(self.apply_cache(QueryService::new(topology).with_rebuild(self.shared_dataset())))
     }
 
-    /// A service over a fresh `rows × cols` topology seeded with
-    /// **replicas** of the current snapshot — the pre-topology
-    /// semantics, kept as a migration shim and equivalence-tested
-    /// against [`Serving::service_over`].
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `service_over(&TopologySpec::local(rows, cols))` — partial indexes \
-                instead of full replicas"
-    )]
-    pub fn service_sharded(&self, rows: usize, cols: usize) -> Result<QueryService, FsiError> {
-        let index = self.handle.load().as_ref().clone();
-        let topology = Topology::replicated(index, rows, cols).map_err(FsiError::from)?;
-        Ok(self.apply_cache(QueryService::new(topology).with_rebuild(self.shared_dataset())))
-    }
-
     /// Attaches the HTTP/1.1 JSON transport to this deployment: binds
     /// `addr` (use port `0` for an ephemeral port) and serves
     /// [`Serving::service`] from a small worker thread pool. This is the
@@ -743,35 +728,6 @@ mod tests {
         }
     }
 
-    /// The deprecated replica path and the canonical topology path must
-    /// answer every query identically — the migration contract.
-    #[test]
-    fn deprecated_sharded_service_matches_service_over() {
-        use fsi_proto::Request;
-        let d = dataset();
-        let serving = Pipeline::on(&d).height(3).run().unwrap().serve().unwrap();
-        #[allow(deprecated)]
-        let mut replicas = serving.service_sharded(2, 2).unwrap();
-        let mut partials = serving.service_over(&TopologySpec::local(2, 2)).unwrap();
-        for p in d.locations().iter().take(64) {
-            let req = Request::Lookup { x: p.x, y: p.y };
-            assert_eq!(replicas.dispatch(&req), partials.dispatch(&req));
-        }
-        for rect in [
-            fsi_proto::WireRect::new(0.0, 0.0, 1.0, 1.0),
-            fsi_proto::WireRect::new(0.2, 0.2, 0.8, 0.4),
-        ] {
-            let req = Request::RangeQuery { rect };
-            assert_eq!(replicas.dispatch(&req), partials.dispatch(&req));
-        }
-        // The partial plane is the smaller one, per shard.
-        let full_heap = serving.handle().load().heap_bytes();
-        for backend in partials.topology().backends() {
-            let local = backend.as_local().unwrap();
-            assert!(local.handle().load().heap_bytes() < full_heap);
-        }
-    }
-
     /// A shard server over `Topology::partial` answers its own slot's
     /// points exactly like the coordinator's local shards would.
     #[test]
@@ -811,9 +767,6 @@ mod tests {
             .err()
             .expect("zero capacity must be rejected");
         assert!(err.to_string().contains("cache"), "{err}");
-        let mut bad = CacheSpec::shared(64);
-        bad.shards = 3; // not a power of two
-        assert!(run.serve_with_cache(bad).is_err());
     }
 
     #[test]

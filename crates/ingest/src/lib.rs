@@ -8,8 +8,7 @@
 //!   points ([`IngestRecord`]s), maintaining live per-cell count /
 //!   label / group-count deltas ([`CellDelta`]) on top of the frozen
 //!   snapshot's statistics. One mutex shard per write, atomics for
-//!   occupancy — the same contention shape as the decision cache's
-//!   `ShardedLru`.
+//!   occupancy.
 //! * [`DriftDetector`] — scores how far the buffered deltas have pushed
 //!   any subtree's statistics past the frozen baseline, using the
 //!   `CellStats`/summed-area-table machinery (one O(grid) pass, then

@@ -16,9 +16,7 @@
 //!
 //! Most callers should not use this crate directly: the `fsi` facade
 //! crate wraps these entry points in a fluent `Pipeline` builder that
-//! carries the run through freezing (`fsi-serve`) and serving. The
-//! historical free functions [`run_method`] and [`run_multi_objective`]
-//! are deprecated shims over the spec path.
+//! carries the run through freezing (`fsi-serve`) and serving.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +33,6 @@ pub mod trainer;
 pub use error::PipelineError;
 pub use eval::EvalReport;
 pub use methods::Method;
-#[allow(deprecated)]
-pub use runner::{run_method, run_multi_objective};
 pub use runner::{run_multi_spec, run_spec, MethodRun, MultiObjectiveRun, RunConfig, TaskSpec};
 pub use snapshot::{snapshot_for_partition, ModelSnapshot, PartitionModel};
 pub use spec::{MultiObjectiveSpec, PipelineSpec};

@@ -24,8 +24,7 @@
 //!   lookups route to one shard, range queries scatter-gather, rebuilds
 //!   run a two-phase generation barrier. Built from a validated
 //!   [`TopologySpec`] (`rows × cols`, per-shard `local` or
-//!   `http://host:port`). The replica-only [`ShardRouter`] is its
-//!   deprecated predecessor.
+//!   `http://host:port`).
 //! * [`IndexHandle`] / [`IndexReader`] — lock-free reads with atomic
 //!   snapshot hot-swap (std-only `Arc` + atomics), so a rebuild never
 //!   blocks a query.
@@ -72,7 +71,6 @@ pub mod maintain;
 pub mod obs;
 pub mod rebuild;
 pub mod service;
-pub mod shard;
 pub mod topology;
 
 pub use driver::{sweep, ThroughputReport};
@@ -83,14 +81,13 @@ pub use maintain::MaintenanceHandle;
 pub use obs::{prometheus_text, SlowQueryRecord, SlowQuerySink};
 pub use rebuild::{build_index, compile_run, RebuildReport, Rebuilder};
 pub use service::QueryService;
-pub use shard::ShardRouter;
 pub use topology::{
     BackendSpec, LocalShard, ShardBackend, ShardDescriptor, SlotConnector, Topology, TopologySpec,
     TransportStats,
 };
 
 // The decision-cache vocabulary callers configure services with.
-pub use fsi_cache::{CacheError, CacheScope, CacheSpec, CacheStats};
+pub use fsi_cache::{CacheError, CacheSpec, CacheStats};
 
 // The streaming-ingestion vocabulary callers configure maintenance with.
 pub use fsi_ingest::{IngestError, MaintenanceSpec, MaintenanceTrigger};

@@ -28,7 +28,7 @@ use crate::obs::{
 use crate::rebuild::build_index;
 use crate::topology::Topology;
 use crate::{IndexReader, RebuildReport, ServeError};
-use fsi_cache::{CacheKey, CacheScope, CacheSpec, CacheStats, FrontedLru, ShardedLru};
+use fsi_cache::{CacheKey, CacheSpec, FrontedLru};
 use fsi_core::CellStats;
 use fsi_data::SpatialDataset;
 use fsi_geo::{Point, Rect};
@@ -75,59 +75,45 @@ impl From<DecisionBody> for Decision {
     }
 }
 
-/// How a configured decision cache is placed for one service clone.
+/// The optional decision cache of one service clone: the validated spec
+/// (clones build their own empty cache from it) plus this clone's
+/// cache, with a direct-mapped front over the exact LRU (see
+/// [`FrontedLru`]).
 ///
 /// Decisions are deterministic per (shard, cell, generation), and a
 /// shard's generation uniquely identifies its published index, so a
 /// cached decision can never go stale: a hot-swap bumps the generation,
 /// which changes every key, and the orphaned entries age out of the LRU.
-enum CacheStore {
-    /// This clone owns its cache outright — the zero-lock placement,
-    /// with a direct-mapped front over the exact LRU (see
-    /// [`FrontedLru`]).
-    PerWorker(FrontedLru<Decision>),
-    /// All clones share one sharded cache behind per-shard mutexes.
-    Shared(Arc<ShardedLru<Decision>>),
+struct CacheLayer {
+    spec: CacheSpec,
+    store: FrontedLru<Decision>,
 }
 
-impl CacheStore {
-    fn from_spec(spec: &CacheSpec) -> Result<Self, ServeError> {
-        spec.validate()?;
-        Ok(match spec.scope {
-            CacheScope::PerWorker => CacheStore::PerWorker(FrontedLru::new(spec.capacity)?),
-            CacheScope::Shared => CacheStore::Shared(Arc::new(ShardedLru::new(spec)?)),
+impl CacheLayer {
+    fn new(spec: CacheSpec) -> Result<Self, ServeError> {
+        Ok(Self {
+            spec,
+            store: FrontedLru::new(spec.capacity)?,
         })
     }
 
-    #[inline]
-    fn get(&mut self, key: CacheKey) -> Option<Decision> {
-        match self {
-            CacheStore::PerWorker(cache) => cache.get(key),
-            CacheStore::Shared(cache) => cache.get(key),
+    /// The cache counters `Stats` and `Metrics` both report. `folded`
+    /// carries the hit/miss totals summed over every worker clone's
+    /// telemetry — each clone's cache sees only its own traffic — and is
+    /// `None` only with telemetry off, when this clone's own counters
+    /// are all there is. Evictions, occupancy and capacity are this
+    /// clone's.
+    fn body(&self, folded: Option<(u64, u64)>) -> CacheStatsBody {
+        let s = self.store.stats();
+        let (hits, misses) = folded.unwrap_or((s.hits, s.misses));
+        CacheStatsBody {
+            hits,
+            misses,
+            evictions: s.evictions,
+            entries: s.len,
+            capacity: s.capacity,
         }
     }
-
-    fn insert(&mut self, key: CacheKey, decision: Decision) {
-        match self {
-            CacheStore::PerWorker(cache) => cache.insert(key, decision),
-            CacheStore::Shared(cache) => cache.insert(key, decision),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        match self {
-            CacheStore::PerWorker(cache) => cache.stats(),
-            CacheStore::Shared(cache) => cache.stats(),
-        }
-    }
-}
-
-/// The optional decision cache of one service clone: the validated spec
-/// it was built from (clones re-derive per-worker placements from it)
-/// plus the placement itself.
-struct CacheLayer {
-    spec: CacheSpec,
-    store: CacheStore,
 }
 
 /// The streaming-ingestion state of a service, shared by every clone
@@ -220,23 +206,6 @@ fn batch_oob(index: usize, wp: &WirePoint) -> Response {
     )
 }
 
-/// Best-effort abort fan-out: drops staged rebuild state on every shard
-/// of the topology — locals directly, remotes via
-/// [`Request::RebuildAbort`]. Abort is idempotent and an unreachable
-/// remote is skipped (it has nothing durable to publish anyway), so a
-/// coordinator can always call this after a partial prepare failure
-/// without leaving a stale staged index behind a live shard.
-fn abort_all(topology: &Topology) {
-    for backend in topology.backends() {
-        match backend.as_local() {
-            Some(local) => local.abort(),
-            None => {
-                let _ = backend.dispatch(&Request::RebuildAbort);
-            }
-        }
-    }
-}
-
 /// Dispatches typed protocol requests against a topology of shard
 /// backends. See the module docs for the design.
 pub struct QueryService {
@@ -270,12 +239,11 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Creates a service over a [`Topology`] (a deprecated
-    /// `ShardRouter` converts via `Into`, preserving its replica
-    /// semantics), without rebuild support: `Rebuild` requests answer a
-    /// structured [`ErrorCode::RebuildUnavailable`] error.
-    pub fn new(topology: impl Into<Topology>) -> Self {
-        Self::over(Arc::new(topology.into()), None)
+    /// Creates a service over a [`Topology`], without rebuild support:
+    /// `Rebuild` requests answer a structured
+    /// [`ErrorCode::RebuildUnavailable`] error.
+    pub fn new(topology: Topology) -> Self {
+        Self::over(Arc::new(topology), None)
     }
 
     /// Enables spec-driven rebuilds: a `Rebuild{spec}` request retrains
@@ -290,13 +258,13 @@ impl QueryService {
     }
 
     /// Puts a decision cache in front of point lookups, validating the
-    /// spec first. Decisions are keyed by (shard, cell, generation), so
-    /// hot-swap rebuilds invalidate implicitly — see [`CacheSpec`] for
-    /// the placement choices. Only local shards are cached; remote
-    /// shards answer behind their own caches.
+    /// spec first. Every clone (one per transport worker) owns its own
+    /// cache of `spec.capacity` entries. Decisions are keyed by (shard,
+    /// cell, generation), so hot-swap rebuilds invalidate implicitly.
+    /// Only local shards are cached; remote shards answer behind their
+    /// own caches.
     pub fn with_cache(mut self, spec: CacheSpec) -> Result<Self, ServeError> {
-        let store = CacheStore::from_spec(&spec)?;
-        self.cache = Some(CacheLayer { spec, store });
+        self.cache = Some(CacheLayer::new(spec)?);
         Ok(self)
     }
 
@@ -553,29 +521,74 @@ impl QueryService {
         pend
     }
 
-    /// Forwards one request to the backend of a remote shard slot,
-    /// timing the round-trip and counting transport failures into the
-    /// per-shard telemetry. An `internal`-code failure additionally
-    /// gains the shard index and address in its message, so a
-    /// multi-shard fleet's transport errors are attributable from the
-    /// error body alone; every other code (out-of-bounds, not-prepared,
-    /// …) passes through untouched — those are the shard's own answers,
-    /// not transport context.
+    /// Forwards one request to the backend of a remote shard slot: a
+    /// one-job [`Self::remote_fanout`].
     fn remote_dispatch(&self, shard: usize, request: &Request) -> Response {
-        let backend = &self.topology.backends()[shard];
-        let Some(obs) = &self.obs else {
-            return backend.dispatch(request);
+        let (_, response) = self
+            .remote_fanout(&[(shard, request)])
+            .pop()
+            .expect("one job, one answer");
+        response
+    }
+
+    /// The scatter every fan-out to remote shards goes through: sends
+    /// each `(shard, request)` job to its shard's backend and returns
+    /// `(shard, response, elapsed)` in job order. Two or more jobs run
+    /// concurrently on scoped threads, one per job, so the shards'
+    /// round trips overlap; zero or one job runs inline, so a
+    /// single-remote fan-out pays no thread-spawn cost. Telemetry is
+    /// left to the caller (see [`Self::remote_fanout`]).
+    fn scatter(&self, jobs: &[(usize, &Request)]) -> Vec<(usize, Response, Duration)> {
+        let backends = self.topology.backends();
+        let call = |&(shard, request): &(usize, &Request)| {
+            let started = Instant::now();
+            let response = backends[shard].dispatch(request);
+            (shard, response, started.elapsed())
         };
-        let started = Instant::now();
-        let response = backend.dispatch(request);
-        let nanos = saturating_nanos(started.elapsed());
+        if jobs.len() <= 1 {
+            return jobs.iter().map(call).collect();
+        }
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = jobs
+                .iter()
+                .map(|job| scope.spawn(move || call(job)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("scatter worker panicked"))
+                .collect()
+        })
+    }
+
+    /// [`Self::scatter`] with [`Self::remote_answer`] applied to every
+    /// answer: returns each shard's response paired with its slot index,
+    /// in job order.
+    fn remote_fanout(&self, jobs: &[(usize, &Request)]) -> Vec<(usize, Response)> {
+        self.scatter(jobs)
+            .into_iter()
+            .map(|(shard, response, elapsed)| (shard, self.remote_answer(shard, response, elapsed)))
+            .collect()
+    }
+
+    /// The per-shard telemetry of one remote round trip: counts the
+    /// request, records its round-trip time, and counts a transport
+    /// failure. An `internal`-code failure additionally gains the shard
+    /// index and address in its message, so a multi-shard fleet's
+    /// transport errors are attributable from the error body alone;
+    /// every other code (out-of-bounds, not-prepared, …) passes through
+    /// untouched — those are the shard's own answers, not transport
+    /// context. With telemetry off the response passes through as-is.
+    fn remote_answer(&self, shard: usize, response: Response, elapsed: Duration) -> Response {
+        let Some(obs) = &self.obs else {
+            return response;
+        };
         let sm = &obs.shards[shard];
         sm.requests.inc();
-        sm.round_trip.record(nanos);
+        sm.round_trip.record(saturating_nanos(elapsed));
         match response {
             Response::Error { error } if error.code == ErrorCode::Internal => {
                 sm.failures.inc();
-                let addr = backend
+                let addr = self.topology.backends()[shard]
                     .descriptor()
                     .addr
                     .unwrap_or_else(|| "<no addr>".into());
@@ -586,130 +599,6 @@ impl QueryService {
             }
             other => other,
         }
-    }
-
-    /// Fans one request out to the given remote shard slots
-    /// concurrently — scoped threads, one per shard, the same shape the
-    /// two-phase prepare fan-out uses — and returns each shard's
-    /// response paired with its slot index, in input order. Telemetry
-    /// matches the sequential [`remote_dispatch`](Self::remote_dispatch)
-    /// path exactly: per-shard request counters and round-trip
-    /// histograms, transport failures counted, and `internal`-code
-    /// errors gaining the shard index and address. With zero or one
-    /// shard the scope is skipped entirely, so single-remote topologies
-    /// pay no thread-spawn cost.
-    fn remote_fanout(&self, shards: &[usize], request: &Request) -> Vec<(usize, Response)> {
-        if shards.len() <= 1 {
-            return shards
-                .iter()
-                .map(|&shard| (shard, self.remote_dispatch(shard, request)))
-                .collect();
-        }
-        let backends = self.topology.backends();
-        let timed: Vec<(usize, Response, Duration)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = shards
-                .iter()
-                .map(|&i| {
-                    let backend = &backends[i];
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let response = backend.dispatch(request);
-                        (i, response, started.elapsed())
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("fan-out worker panicked"))
-                .collect()
-        });
-        timed
-            .into_iter()
-            .map(|(i, response, elapsed)| {
-                let Some(obs) = &self.obs else {
-                    return (i, response);
-                };
-                let sm = &obs.shards[i];
-                sm.requests.inc();
-                sm.round_trip.record(saturating_nanos(elapsed));
-                let response = match response {
-                    Response::Error { error } if error.code == ErrorCode::Internal => {
-                        sm.failures.inc();
-                        let addr = backends[i]
-                            .descriptor()
-                            .addr
-                            .unwrap_or_else(|| "<no addr>".into());
-                        Response::error(
-                            ErrorCode::Internal,
-                            format!("shard {i} at {addr}: {}", error.message),
-                        )
-                    }
-                    other => other,
-                };
-                (i, response)
-            })
-            .collect()
-    }
-
-    /// [`Self::remote_fanout`] with a *different* request per shard —
-    /// the shape batched lookups need, where each shard receives its
-    /// own sub-batch. Same concurrency (scoped threads, one per job),
-    /// same telemetry, same single-job fast path that skips the scope.
-    fn remote_fanout_each(&self, jobs: Vec<(usize, Request)>) -> Vec<(usize, Response)> {
-        if jobs.len() <= 1 {
-            return jobs
-                .into_iter()
-                .map(|(shard, request)| {
-                    let response = self.remote_dispatch(shard, &request);
-                    (shard, response)
-                })
-                .collect();
-        }
-        let backends = self.topology.backends();
-        let timed: Vec<(usize, Response, Duration)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = jobs
-                .iter()
-                .map(|(i, request)| {
-                    let i = *i;
-                    let backend = &backends[i];
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let response = backend.dispatch(request);
-                        (i, response, started.elapsed())
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("fan-out worker panicked"))
-                .collect()
-        });
-        timed
-            .into_iter()
-            .map(|(i, response, elapsed)| {
-                let Some(obs) = &self.obs else {
-                    return (i, response);
-                };
-                let sm = &obs.shards[i];
-                sm.requests.inc();
-                sm.round_trip.record(saturating_nanos(elapsed));
-                let response = match response {
-                    Response::Error { error } if error.code == ErrorCode::Internal => {
-                        sm.failures.inc();
-                        let addr = backends[i]
-                            .descriptor()
-                            .addr
-                            .unwrap_or_else(|| "<no addr>".into());
-                        Response::error(
-                            ErrorCode::Internal,
-                            format!("shard {i} at {addr}: {}", error.message),
-                        )
-                    }
-                    other => other,
-                };
-                (i, response)
-            })
-            .collect()
     }
 
     #[inline]
@@ -744,14 +633,7 @@ impl QueryService {
                     }
                     return response;
                 }
-                if self.cache.is_some() {
-                    self.cached_decision(shard, &p)
-                } else {
-                    match &mut self.slots[shard] {
-                        ShardSlot::Local(reader) => reader.snapshot().lookup(&p),
-                        ShardSlot::Remote => None,
-                    }
-                }
+                self.local_decision(shard, &p)
             }
             None => None,
         };
@@ -768,6 +650,19 @@ impl QueryService {
                     format!("point ({x}, {y}) is outside the served map bounds"),
                 )
             }
+        }
+    }
+
+    /// The decision for `p` from the local `shard`, through the cache
+    /// when one is attached; `None` means out of bounds.
+    #[inline]
+    fn local_decision(&mut self, shard: usize, p: &Point) -> Option<Decision> {
+        if self.cache.is_some() {
+            return self.cached_decision(shard, p);
+        }
+        match &mut self.slots[shard] {
+            ShardSlot::Local(reader) => reader.snapshot().lookup(p),
+            ShardSlot::Remote => None,
         }
     }
 
@@ -808,66 +703,13 @@ impl QueryService {
     }
 
     fn lookup_batch(&mut self, points: &[WirePoint]) -> Response {
-        // Cached: every local point goes through the same per-point
-        // cache path as single lookups, so batch and single answers (and
-        // counters) cannot diverge; remote points forward point-wise.
-        if self.cache.is_some() {
-            self.decisions.clear();
-            self.decisions.reserve(points.len());
-            for (i, wp) in points.iter().enumerate() {
-                let p = Point::new(wp.x, wp.y);
-                let shard = if self.slots.len() == 1 {
-                    Some(0)
-                } else {
-                    self.topology.shard_of(&p)
-                };
-                let Some(shard) = shard else {
-                    self.decisions.clear();
-                    return batch_oob(i, wp);
-                };
-                if matches!(self.slots[shard], ShardSlot::Remote) {
-                    match self.remote_dispatch(shard, &Request::Lookup { x: wp.x, y: wp.y }) {
-                        Response::Decision { decision } => self.decisions.push(decision.into()),
-                        Response::Error { error } if error.code == ErrorCode::OutOfBounds => {
-                            self.decisions.clear();
-                            return batch_oob(i, wp);
-                        }
-                        Response::Error { error } => {
-                            self.decisions.clear();
-                            return Response::Error { error };
-                        }
-                        _ => {
-                            self.decisions.clear();
-                            return Response::error(
-                                ErrorCode::Internal,
-                                format!("shard {shard} answered an unexpected lookup response"),
-                            );
-                        }
-                    }
-                    continue;
-                }
-                match self.cached_decision(shard, &p) {
-                    Some(d) => self.decisions.push(d),
-                    None => {
-                        self.decisions.clear();
-                        return batch_oob(i, wp);
-                    }
-                }
-            }
-            return Response::Decisions {
-                decisions: self.decisions.iter().map(|&d| d.into()).collect(),
-            };
-        }
-        // Single local shard: feed the whole batch through the frozen
-        // index's buffer-reusing batch path.
-        if self.slots.len() == 1 {
-            if let ShardSlot::Local(_) = self.slots[0] {
+        // Single local shard, no cache: feed the whole batch through the
+        // frozen index's buffer-reusing batch path.
+        if self.slots.len() == 1 && self.cache.is_none() {
+            if let ShardSlot::Local(reader) = &mut self.slots[0] {
                 self.points.clear();
                 self.points
                     .extend(points.iter().map(|p| Point::new(p.x, p.y)));
-                let ShardSlot::Local(reader) = &mut self.slots[0] else {
-                    unreachable!("checked above");
-                };
                 let index = reader.snapshot();
                 return match index.lookup_batch(&self.points, &mut self.decisions) {
                     Ok(()) => Response::Decisions {
@@ -877,9 +719,11 @@ impl QueryService {
                 };
             }
         }
-        // Scatter-gather: local points answer inline, remote points are
-        // bucketed per shard and forwarded as sub-batches, and every
-        // answer lands back at its original batch position.
+        // Scatter-gather: local points answer inline — through the same
+        // per-point path as single lookups, cache included, so batch and
+        // single answers (and counters) cannot diverge — while remote
+        // points are bucketed per shard and forwarded as one sub-batch
+        // each, and every answer lands back at its original position.
         let mut out: Vec<Option<DecisionBody>> = vec![None; points.len()];
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
         for (i, wp) in points.iter().enumerate() {
@@ -892,18 +736,16 @@ impl QueryService {
             let Some(shard) = shard else {
                 return batch_oob(i, wp);
             };
-            match &mut self.slots[shard] {
-                ShardSlot::Local(reader) => match reader.snapshot().lookup(&p) {
-                    Some(d) => out[i] = Some(d.into()),
-                    None => return batch_oob(i, wp),
-                },
-                ShardSlot::Remote => buckets[shard].push(i),
+            if matches!(self.slots[shard], ShardSlot::Remote) {
+                buckets[shard].push(i);
+                continue;
+            }
+            match self.local_decision(shard, &p) {
+                Some(d) => out[i] = Some(d.into()),
+                None => return batch_oob(i, wp),
             }
         }
-        // The per-shard sub-batches fan out concurrently — one scoped
-        // thread per shard, like every other scatter — instead of
-        // paying the shards' round-trips back to back.
-        let jobs: Vec<(usize, Request)> = buckets
+        let requests: Vec<(usize, Request)> = buckets
             .iter()
             .enumerate()
             .filter(|(_, bucket)| !bucket.is_empty())
@@ -912,7 +754,8 @@ impl QueryService {
                 (shard, Request::LookupBatch { points: sub })
             })
             .collect();
-        for (shard, response) in self.remote_fanout_each(jobs) {
+        let jobs: Vec<(usize, &Request)> = requests.iter().map(|(s, r)| (*s, r)).collect();
+        for (shard, response) in self.remote_fanout(&jobs) {
             let bucket = &buckets[shard];
             match response {
                 Response::Decisions { decisions } if decisions.len() == bucket.len() => {
@@ -1009,7 +852,7 @@ impl QueryService {
 
     /// The bulk write path: accepts in request order (so the global
     /// sequence matches the batch), buckets remote-owned points per
-    /// shard and forwards the sub-batches — the same scatter shape as
+    /// shard and scatters the sub-batches — the same shape as
     /// [`Self::lookup_batch`], minus the gather (the coordinator's own
     /// buffer already holds every point). Out-of-bounds points are
     /// skipped, not fatal: `accepted` reports how many landed and the
@@ -1033,17 +876,14 @@ impl QueryService {
                 }
             }
         }
-        for (shard, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let _ = self.remote_dispatch(
-                shard,
-                &Request::IngestBatch {
-                    points: bucket.clone(),
-                },
-            );
-        }
+        let requests: Vec<(usize, Request)> = buckets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .map(|(shard, points)| (shard, Request::IngestBatch { points }))
+            .collect();
+        let jobs: Vec<(usize, &Request)> = requests.iter().map(|(s, r)| (*s, r)).collect();
+        self.remote_fanout(&jobs);
         self.ingested(&state, accepted)
     }
 
@@ -1063,7 +903,8 @@ impl QueryService {
             }
         }
         let request = Request::RangeQuery { rect: *rect };
-        for (shard, response) in self.remote_fanout(&remote, &request) {
+        let jobs: Vec<(usize, &Request)> = remote.iter().map(|&s| (s, &request)).collect();
+        for (shard, response) in self.remote_fanout(&jobs) {
             match response {
                 Response::Regions { ids: shard_ids } => ids.extend(shard_ids),
                 Response::Error { error } => return Response::Error { error },
@@ -1082,16 +923,16 @@ impl QueryService {
 
     fn stats(&mut self) -> Response {
         self.flush_pending();
-        let cache = self.cache.as_ref().map(|layer| {
-            let s = layer.store.stats();
-            CacheStatsBody {
-                hits: s.hits,
-                misses: s.misses,
-                evictions: s.evictions,
-                entries: s.len,
-                capacity: s.capacity,
-            }
-        });
+        // The answering worker's merged local snapshot (no remote
+        // scatter-gather — that is what `Metrics` is for); absent when
+        // metrics are disabled, exactly like a pre-observability peer's
+        // stats. Its cache block is the one `Stats` reports, so the two
+        // can never disagree.
+        let metrics = self.obs.is_some().then(|| Box::new(self.snapshot_body()));
+        let cache = match &metrics {
+            Some(metrics) => metrics.cache,
+            None => self.cache.as_ref().map(|layer| layer.body(None)),
+        };
         let mut per_shard: Vec<Option<ShardStatsBody>> = Vec::with_capacity(self.slots.len());
         let mut remote: Vec<usize> = Vec::new();
         for shard in 0..self.slots.len() {
@@ -1113,7 +954,8 @@ impl QueryService {
                 remote.push(shard);
             }
         }
-        for (shard, response) in self.remote_fanout(&remote, &Request::Stats) {
+        let jobs: Vec<(usize, &Request)> = remote.iter().map(|&s| (s, &Request::Stats)).collect();
+        for (shard, response) in self.remote_fanout(&jobs) {
             let d = self.topology.backends()[shard].descriptor();
             per_shard[shard] = Some(match response {
                 Response::Stats { stats } => ShardStatsBody {
@@ -1162,11 +1004,7 @@ impl QueryService {
                 backend: first.backend.clone(),
                 cache,
                 per_shard: Some(per_shard),
-                // The answering worker's merged local snapshot (no
-                // remote scatter-gather — that is what `Metrics` is
-                // for); absent when metrics are disabled, exactly like
-                // a pre-observability peer's stats.
-                metrics: self.obs.is_some().then(|| Box::new(self.snapshot_body())),
+                metrics,
                 health: Some(Box::new(self.health_body())),
             }),
         }
@@ -1219,10 +1057,11 @@ impl QueryService {
         self.flush_pending();
         let mut body = self.snapshot_body();
         if self.obs.is_some() {
-            let remote: Vec<usize> = (0..self.slots.len())
+            let jobs: Vec<(usize, &Request)> = (0..self.slots.len())
                 .filter(|&shard| matches!(self.slots[shard], ShardSlot::Remote))
+                .map(|shard| (shard, &Request::Metrics))
                 .collect();
-            for (shard, response) in self.remote_fanout(&remote, &Request::Metrics) {
+            for (shard, response) in self.remote_fanout(&jobs) {
                 if let Response::Metrics { metrics } = response {
                     body.shards[shard].remote = Some(metrics);
                 }
@@ -1257,19 +1096,10 @@ impl QueryService {
                 generation = generation.max(local.handle().generation());
             }
         }
-        // Hit/miss totals come from the recorder (folded across every
-        // worker, which a per-worker store cannot report); eviction and
-        // occupancy figures from this clone's store, like `stats()`.
-        let cache = self.cache.as_ref().map(|layer| {
-            let s = layer.store.stats();
-            CacheStatsBody {
-                hits: fold.cache_hits,
-                misses: fold.cache_misses,
-                evictions: s.evictions,
-                entries: s.len,
-                capacity: s.capacity,
-            }
-        });
+        let cache = self
+            .cache
+            .as_ref()
+            .map(|layer| layer.body(Some((fold.cache_hits, fold.cache_misses))));
         // A scrape re-measures drift so the gauge is live even when no
         // maintenance thread is polling; the stored bits are the
         // fallback if the baseline shape ever disagrees mid-swap.
@@ -1361,28 +1191,51 @@ impl QueryService {
     }
 
     /// The two-phase publish barrier behind `Rebuild`: stage the global
-    /// `index` on every local shard and fan `RebuildPrepare` out to
-    /// every remote shard (in parallel — remote prepares retrain and
-    /// pay real wall-clock); only when *every* shard holds a staged
-    /// index are the commits issued. Any prepare failure aborts all
-    /// staged state and leaves the old generation serving everywhere.
-    /// A maintenance pass threads the full ingest log through `delta`
-    /// so every remote shard retrains on the identical merged dataset;
-    /// plain rebuilds pass `None`.
+    /// `index` everywhere ([`Self::prepare_all`]); only when *every*
+    /// shard holds a staged index are the commits issued. Any prepare
+    /// failure aborts all staged state and leaves the old generation
+    /// serving everywhere. A maintenance pass threads the full ingest
+    /// log through `delta` so every remote shard retrains on the
+    /// identical merged dataset; plain rebuilds pass `None`.
     fn publish_two_phase(
         &self,
         index: &FrozenIndex,
         spec: &PipelineSpec,
         delta: Option<&[IngestBody]>,
     ) -> Result<u64, Response> {
+        self.prepare_all(index, spec, delta)?;
+        self.commit_all(ErrorCode::Internal)
+    }
+
+    /// Phase one on every shard: stage `index` on every local shard
+    /// (re-clipped for partial shards), then scatter one
+    /// `RebuildPrepare` to every remote shard — remote prepares retrain
+    /// and pay real wall-clock, so they run concurrently. Each shard's
+    /// prepare lands in the rebuild-prepare histogram. Any failure
+    /// aborts all staged state and answers the structured error; success
+    /// returns the `(num_leaves, heap_bytes)` footprint the last local
+    /// shard staged, if any.
+    fn prepare_all(
+        &self,
+        index: &FrozenIndex,
+        spec: &PipelineSpec,
+        delta: Option<&[IngestBody]>,
+    ) -> Result<Option<(usize, usize)>, Response> {
         let backends = self.topology.backends();
+        let mut staged = None;
+        let mut remotes = Vec::new();
         for (i, b) in backends.iter().enumerate() {
-            if let Some(local) = b.as_local() {
-                let started = Instant::now();
-                let staged = local.stage(index);
-                self.record_rebuild_phase(RebuildPhase::Prepare, started);
-                if let Err(e) = staged {
-                    self.abort_all_timed();
+            let Some(local) = b.as_local() else {
+                remotes.push(i);
+                continue;
+            };
+            let started = Instant::now();
+            let result = local.stage(index);
+            self.record_rebuild_phase(RebuildPhase::Prepare, started);
+            match result {
+                Ok(report) => staged = Some(report),
+                Err(e) => {
+                    self.abort_all();
                     return Err(Response::error(
                         ErrorCode::Internal,
                         format!("shard {i} failed to stage: {e}"),
@@ -1390,65 +1243,50 @@ impl QueryService {
                 }
             }
         }
-        let remotes: Vec<usize> = backends
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.as_local().is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let prepares: Vec<(usize, Response, Duration)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = remotes
-                .iter()
-                .map(|&i| {
-                    let backend = &backends[i];
-                    let spec = spec.clone();
-                    let delta = delta.map(<[IngestBody]>::to_vec);
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let response = backend.dispatch(&Request::RebuildPrepare { spec, delta });
-                        (i, response, started.elapsed())
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("prepare worker panicked"))
-                .collect()
-        });
-        for (i, response, elapsed) in prepares {
+        if remotes.is_empty() {
+            return Ok(staged);
+        }
+        let request = Request::RebuildPrepare {
+            spec: spec.clone(),
+            delta: delta.map(<[IngestBody]>::to_vec),
+        };
+        let jobs: Vec<(usize, &Request)> = remotes.iter().map(|&i| (i, &request)).collect();
+        for (i, response, elapsed) in self.scatter(&jobs) {
             if let Some(obs) = &self.obs {
                 obs.rebuild_prepare.record(saturating_nanos(elapsed));
             }
-            match response {
-                Response::Prepared { .. } => {}
-                Response::Error { error } => {
-                    self.abort_all_timed();
-                    return Err(Response::error(
-                        error.code,
-                        format!("shard {i} failed to prepare: {}", error.message),
-                    ));
-                }
-                _ => {
-                    self.abort_all_timed();
-                    return Err(Response::error(
-                        ErrorCode::Internal,
-                        format!("shard {i} answered an unexpected prepare response"),
-                    ));
-                }
-            }
+            let failure = match response {
+                Response::Prepared { .. } => continue,
+                Response::Error { error } => Response::error(
+                    error.code,
+                    format!("shard {i} failed to prepare: {}", error.message),
+                ),
+                _ => Response::error(
+                    ErrorCode::Internal,
+                    format!("shard {i} answered an unexpected prepare response"),
+                ),
+            };
+            self.abort_all();
+            return Err(failure);
         }
+        Ok(staged)
+    }
+
+    /// Phase two on every shard, in order: publish whatever the last
+    /// prepare staged — locals directly, remotes via
+    /// [`Request::RebuildCommit`] — and raise the generation gauge to
+    /// the newest generation. A local shard with nothing staged fails
+    /// with `unstaged`.
+    fn commit_all(&self, unstaged: ErrorCode) -> Result<u64, Response> {
         let mut newest = 0;
-        for (i, b) in backends.iter().enumerate() {
+        for (i, b) in self.topology.backends().iter().enumerate() {
             let started = Instant::now();
             let generation = match b.as_local() {
                 Some(local) => {
                     let committed = local.commit();
                     self.record_rebuild_phase(RebuildPhase::Commit, started);
                     committed.map_err(|e| {
-                        Response::error(
-                            ErrorCode::Internal,
-                            format!("shard {i} failed to commit: {e}"),
-                        )
+                        Response::error(unstaged, format!("shard {i} failed to commit: {e}"))
                     })?
                 }
                 None => {
@@ -1491,12 +1329,14 @@ impl QueryService {
         }
     }
 
-    /// The abort fan-out, timed per shard into the rebuild telemetry.
-    fn abort_all_timed(&self) {
-        if self.obs.is_none() {
-            abort_all(&self.topology);
-            return;
-        }
+    /// Best-effort abort fan-out, timed per shard into the rebuild
+    /// telemetry: drops staged rebuild state on every shard — locals
+    /// directly, remotes via [`Request::RebuildAbort`]. Abort is
+    /// idempotent and an unreachable remote is skipped (it has nothing
+    /// durable to publish anyway), so a coordinator can always call this
+    /// after a partial prepare failure without leaving a stale staged
+    /// index behind a live shard.
+    fn abort_all(&self) {
         for backend in self.topology.backends() {
             let started = Instant::now();
             match backend.as_local() {
@@ -1715,54 +1555,11 @@ impl QueryService {
         };
         // The staged footprint reported back: the clipped footprint for
         // the common single-shard server, the global index's otherwise.
-        let mut report = (index.num_leaves(), index.heap_bytes());
-        for (i, b) in self.topology.backends().iter().enumerate() {
-            let started = Instant::now();
-            match b.as_local() {
-                Some(local) => {
-                    let staged = local.stage(&index);
-                    self.record_rebuild_phase(RebuildPhase::Prepare, started);
-                    match staged {
-                        Ok(staged_report) => {
-                            if self.slots.len() == 1 {
-                                report = staged_report;
-                            }
-                        }
-                        Err(e) => {
-                            self.abort_all_timed();
-                            return Response::error(
-                                ErrorCode::Internal,
-                                format!("shard {i} failed to stage: {e}"),
-                            );
-                        }
-                    }
-                }
-                None => {
-                    let response = b.dispatch(&Request::RebuildPrepare {
-                        spec: spec.clone(),
-                        delta: delta.map(<[IngestBody]>::to_vec),
-                    });
-                    self.record_rebuild_phase(RebuildPhase::Prepare, started);
-                    match response {
-                        Response::Prepared { .. } => {}
-                        Response::Error { error } => {
-                            self.abort_all_timed();
-                            return Response::error(
-                                error.code,
-                                format!("shard {i} failed to prepare: {}", error.message),
-                            );
-                        }
-                        _ => {
-                            self.abort_all_timed();
-                            return Response::error(
-                                ErrorCode::Internal,
-                                format!("shard {i} answered an unexpected prepare response"),
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        let report = match self.prepare_all(&index, spec, delta) {
+            Ok(Some(staged)) if self.slots.len() == 1 => staged,
+            Ok(_) => (index.num_leaves(), index.heap_bytes()),
+            Err(response) => return response,
+        };
         Response::Prepared {
             prepared: Box::new(PreparedBody {
                 num_leaves: report.0,
@@ -1782,7 +1579,7 @@ impl QueryService {
         if let Some(state) = &self.ingest {
             *state.pending.lock().expect("pending lock poisoned") = None;
         }
-        self.abort_all_timed();
+        self.abort_all();
         Response::Aborted
     }
 
@@ -1790,45 +1587,10 @@ impl QueryService {
     /// shard. A commit with no staged index answers
     /// [`ErrorCode::NotPrepared`] without touching anything.
     fn rebuild_commit(&mut self) -> Response {
-        let mut newest = 0;
-        for (i, b) in self.topology.backends().iter().enumerate() {
-            let started = Instant::now();
-            let generation = match b.as_local() {
-                Some(local) => {
-                    let committed = local.commit();
-                    self.record_rebuild_phase(RebuildPhase::Commit, started);
-                    match committed {
-                        Ok(generation) => generation,
-                        Err(e) => {
-                            return Response::error(
-                                ErrorCode::NotPrepared,
-                                format!("shard {i}: {e}"),
-                            )
-                        }
-                    }
-                }
-                None => {
-                    let response = b.dispatch(&Request::RebuildCommit);
-                    self.record_rebuild_phase(RebuildPhase::Commit, started);
-                    match response {
-                        Response::Committed { generation } => generation,
-                        Response::Error { error } => {
-                            return Response::error(
-                                error.code,
-                                format!("shard {i} failed to commit: {}", error.message),
-                            )
-                        }
-                        _ => {
-                            return Response::error(
-                                ErrorCode::Internal,
-                                format!("shard {i} answered an unexpected commit response"),
-                            )
-                        }
-                    }
-                }
-            };
-            newest = newest.max(generation);
-        }
+        let newest = match self.commit_all(ErrorCode::NotPrepared) {
+            Ok(newest) => newest,
+            Err(response) => return response,
+        };
         // A delta prepare staged a refreshed drift baseline; committing
         // the merged index makes it current. The local buffer and log
         // are superseded — every point this shard accepted was also
@@ -1841,9 +1603,6 @@ impl QueryService {
                 state.store_drift(0.0);
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.generation.raise(newest);
-        }
         Response::Committed { generation: newest }
     }
 }
@@ -1851,26 +1610,17 @@ impl QueryService {
 impl Clone for QueryService {
     /// Clones share the topology (and thus the live, hot-swappable
     /// indexes and remote connections) but get fresh readers and empty
-    /// scratch buffers — one clone per transport worker thread. A
-    /// shared cache is shared with the clone; a per-worker cache is
-    /// re-created empty from its spec. The telemetry recorder clones
+    /// scratch buffers — one clone per transport worker thread. The
+    /// cache is re-created empty from its spec. The telemetry recorder clones
     /// into a **fresh shard of the same registry** (per-worker
     /// placement, merged on scrape), carrying the sampling and
     /// slow-query configuration along.
     fn clone(&self) -> Self {
         let mut fresh = Self::over(Arc::clone(&self.topology), self.rebuild_dataset.clone());
-        if let Some(layer) = &self.cache {
-            let store = match &layer.store {
-                CacheStore::Shared(shared) => CacheStore::Shared(Arc::clone(shared)),
-                CacheStore::PerWorker(_) => {
-                    CacheStore::from_spec(&layer.spec).expect("spec validated at construction")
-                }
-            };
-            fresh.cache = Some(CacheLayer {
-                spec: layer.spec,
-                store,
-            });
-        }
+        fresh.cache = self
+            .cache
+            .as_ref()
+            .map(|layer| CacheLayer::new(layer.spec).expect("spec validated at construction"));
         fresh.ingest = self.ingest.clone();
         fresh.obs = self.obs.clone();
         fresh.sample_mask = self.sample_mask;
@@ -2269,9 +2019,8 @@ mod tests {
         }
     }
 
-    /// Every (shape, scope) combination: cached answers must be
-    /// bit-identical to the uncached reference, and the counters must
-    /// add up.
+    /// Every shape: cached answers must be bit-identical to the uncached
+    /// reference, and the counters must add up.
     #[test]
     fn cached_lookups_match_uncached_and_count_hits() {
         let reference = index();
@@ -2279,36 +2028,31 @@ mod tests {
             .map(|i| (((i % 8) as f64 + 0.5) / 8.0, ((i / 8) as f64 + 0.5) / 8.0))
             .collect();
         for shape in [(1, 1), (2, 2)] {
-            // The shared placement splits capacity across 8 shards and
-            // cells hash unevenly, so give each shard room for all 64
-            // distinct cells — this test is about parity and counting,
-            // not eviction.
-            for spec in [CacheSpec::per_worker(64), CacheSpec::shared(512)] {
-                let mut svc = service(shape).with_cache(spec).unwrap();
-                assert_eq!(svc.cache_spec(), Some(&spec));
-                for pass in 0..2 {
-                    for &(x, y) in &points {
-                        let expected: DecisionBody =
-                            reference.lookup(&Point::new(x, y)).unwrap().into();
-                        match svc.dispatch(&Request::Lookup { x, y }) {
-                            Response::Decision { decision } => {
-                                assert_eq!(decision, expected, "{shape:?} {spec:?} pass {pass}")
-                            }
-                            other => panic!("expected decision, got {other:?}"),
+            let spec = CacheSpec::per_worker(64);
+            let mut svc = service(shape).with_cache(spec).unwrap();
+            assert_eq!(svc.cache_spec(), Some(&spec));
+            for pass in 0..2 {
+                for &(x, y) in &points {
+                    let expected: DecisionBody =
+                        reference.lookup(&Point::new(x, y)).unwrap().into();
+                    match svc.dispatch(&Request::Lookup { x, y }) {
+                        Response::Decision { decision } => {
+                            assert_eq!(decision, expected, "{shape:?} pass {pass}")
                         }
+                        other => panic!("expected decision, got {other:?}"),
                     }
                 }
-                let Response::Stats { stats } = svc.dispatch(&Request::Stats) else {
-                    panic!("expected stats");
-                };
-                let cache = stats.cache.expect("cache stats must be reported");
-                // 64 points over a 4-leaf/64-cell grid: the first pass
-                // populates each distinct cell once, the second hits.
-                assert_eq!(cache.hits + cache.misses, 128);
-                assert_eq!(cache.misses, 64, "{shape:?} {spec:?}");
-                assert_eq!(cache.capacity, spec.capacity);
-                assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
             }
+            let Response::Stats { stats } = svc.dispatch(&Request::Stats) else {
+                panic!("expected stats");
+            };
+            let cache = stats.cache.expect("cache stats must be reported");
+            // 64 points over a 4-leaf/64-cell grid: the first pass
+            // populates each distinct cell once, the second hits.
+            assert_eq!(cache.hits + cache.misses, 128);
+            assert_eq!(cache.misses, 64, "{shape:?}");
+            assert_eq!(cache.capacity, spec.capacity);
+            assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
         }
     }
 
@@ -2380,30 +2124,102 @@ mod tests {
     }
 
     #[test]
-    fn shared_caches_are_shared_across_clones_but_per_worker_are_not() {
-        let svc = service((1, 1)).with_cache(CacheSpec::shared(64)).unwrap();
-        let mut a = svc.clone();
-        let mut b = svc.clone();
-        a.dispatch(&Request::Lookup { x: 0.1, y: 0.1 }); // miss, fills
-        b.dispatch(&Request::Lookup { x: 0.1, y: 0.1 }); // hit via shared store
-        let Response::Stats { stats } = b.dispatch(&Request::Stats) else {
-            panic!("expected stats");
-        };
-        let cache = stats.cache.unwrap();
-        assert_eq!((cache.hits, cache.misses), (1, 1));
-
+    fn stats_and_metrics_agree_on_cache_counters_across_clones() {
         let svc = service((1, 1))
             .with_cache(CacheSpec::per_worker(64))
             .unwrap();
-        let mut a = svc.clone();
-        let mut b = svc.clone();
-        a.dispatch(&Request::Lookup { x: 0.1, y: 0.1 });
-        b.dispatch(&Request::Lookup { x: 0.1, y: 0.1 }); // its own cold cache: miss
-        let Response::Stats { stats } = b.dispatch(&Request::Stats) else {
+        let mut traffic = svc.clone();
+        let mut scraper = svc.clone();
+        for _ in 0..2 {
+            traffic.dispatch(&Request::Lookup { x: 0.1, y: 0.1 }); // miss, then hit
+        }
+        let Response::Stats { stats } = scraper.dispatch(&Request::Stats) else {
+            panic!("expected stats");
+        };
+        let Response::Metrics { metrics } = scraper.dispatch(&Request::Metrics) else {
+            panic!("expected metrics");
+        };
+        let from_stats = stats.cache.expect("cache stats must be reported");
+        let from_metrics = metrics.cache.expect("cache metrics must be reported");
+        assert_eq!((from_stats.hits, from_stats.misses), (1, 1));
+        assert_eq!(
+            (from_stats.hits, from_stats.misses),
+            (from_metrics.hits, from_metrics.misses)
+        );
+        // Each clone still owns its cache: the scraper's is empty.
+        assert_eq!(from_stats.entries, 0);
+        // With telemetry off there is nothing to fold: a clone reports
+        // its own counters.
+        let mut local = service((1, 1))
+            .with_metrics(false)
+            .with_cache(CacheSpec::per_worker(64))
+            .unwrap();
+        local.dispatch(&Request::Lookup { x: 0.1, y: 0.1 });
+        let Response::Stats { stats } = local.dispatch(&Request::Stats) else {
             panic!("expected stats");
         };
         let cache = stats.cache.unwrap();
-        assert_eq!((cache.hits, cache.misses), (0, 1));
+        assert_eq!((cache.hits, cache.misses, cache.entries), (0, 1, 1));
+    }
+
+    #[test]
+    fn cached_coordinator_sends_one_sub_batch_per_remote_shard() {
+        let reference = index();
+        let mut plain = mixed(None);
+        let mut cached = mixed(None).with_cache(CacheSpec::per_worker(64)).unwrap();
+        // 64 cell centers: all four quadrants, two of them remote.
+        let points: Vec<WirePoint> = (0..64)
+            .map(|i| WirePoint::new(((i % 8) as f64 + 0.5) / 8.0, ((i / 8) as f64 + 0.5) / 8.0))
+            .collect();
+        let remote_requests = |svc: &mut QueryService| -> Vec<u64> {
+            let body = svc.metrics_snapshot();
+            vec![body.shards[1].requests, body.shards[2].requests]
+        };
+        let batch = Request::LookupBatch {
+            points: points.clone(),
+        };
+        let before = remote_requests(&mut cached);
+        for pass in 0..2 {
+            let Response::Decisions { decisions } = cached.dispatch(&batch) else {
+                panic!("expected decisions");
+            };
+            assert_eq!(
+                plain.dispatch(&batch),
+                Response::Decisions {
+                    decisions: decisions.clone()
+                }
+            );
+            for (wp, d) in points.iter().zip(&decisions) {
+                let expected: DecisionBody =
+                    reference.lookup(&Point::new(wp.x, wp.y)).unwrap().into();
+                assert_eq!(*d, expected, "pass {pass} at ({}, {})", wp.x, wp.y);
+            }
+        }
+        let after = remote_requests(&mut cached);
+        assert_eq!(after, vec![before[0] + 2, before[1] + 2], "one per batch");
+        // The local half went through the cache: 32 misses, then 32 hits.
+        let cache = cached.metrics_snapshot().cache.unwrap();
+        assert_eq!((cache.hits, cache.misses), (32, 32));
+        // Out-of-bounds points are named by the same batch index on both
+        // paths, whether they precede or follow the remote points.
+        for at in [0, 13, 63] {
+            let mut bad = points.clone();
+            bad[at] = WirePoint::new(7.0, 7.0);
+            let bad = Request::LookupBatch { points: bad };
+            let got = cached.dispatch(&bad);
+            assert_eq!(got, plain.dispatch(&bad));
+            match got {
+                Response::Error { error } => {
+                    assert_eq!(error.code, ErrorCode::OutOfBounds);
+                    assert!(
+                        error.message.contains(&format!("#{at} ")),
+                        "{}",
+                        error.message
+                    );
+                }
+                other => panic!("expected error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@
 use crate::error::ServeError;
 use crate::frozen::FrozenIndex;
 use crate::handle::{IndexHandle, IndexReader};
-use crate::shard::ShardRouter;
 use fsi_geo::{Point, Rect};
 use fsi_proto::{
     ErrorCode, HealthBody, MetricsBody, Request, Response, ShardHealthBody, StatsBody,
@@ -442,8 +441,7 @@ where
 
 /// A validated, serializable description of a serving topology:
 /// `rows × cols` shards in row-major order, each backed per
-/// [`BackendSpec`]. The canonical way to configure sharded serving —
-/// positional `(rows, cols)` constructors are deprecated shims over it.
+/// [`BackendSpec`]. The canonical way to configure sharded serving.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopologySpec {
     /// Shard grid rows.
@@ -530,8 +528,7 @@ impl TopologySpec {
 }
 
 /// A `rows × cols` spatial partition of the served bounding rectangle
-/// over a set of [`ShardBackend`]s — the successor of the replica-only
-/// `ShardRouter`.
+/// over a set of [`ShardBackend`]s.
 ///
 /// Immutable after construction (the backends hot-swap internally), so
 /// services keep it behind an `Arc` and route from as many threads as
@@ -575,14 +572,6 @@ impl Topology {
             backends.push(Box::new(LocalShard::clipped(&index, rect)?));
         }
         Ok(Self::over(bounds, rows, cols, backends))
-    }
-
-    /// A `rows × cols` topology where every shard serves a full replica
-    /// of `index` — the semantics of the deprecated
-    /// `ShardRouter::new`, kept for migration and equivalence tests.
-    pub fn replicated(index: FrozenIndex, rows: usize, cols: usize) -> Result<Self, ServeError> {
-        #[allow(deprecated)]
-        Ok(ShardRouter::new(index, rows, cols)?.into())
     }
 
     /// Builds a topology from a validated [`TopologySpec`]. Local slots
@@ -802,23 +791,6 @@ impl Topology {
     }
 }
 
-/// Migration shim: a replica router becomes a topology of unclipped
-/// local shards sharing the router's handles, so existing
-/// `ShardRouter`-built deployments behave identically behind the new
-/// API.
-impl From<ShardRouter> for Topology {
-    fn from(router: ShardRouter) -> Self {
-        let (rows, cols) = router.shape();
-        let bounds = *router.bounds();
-        let backends = router
-            .handles()
-            .iter()
-            .map(|h| Box::new(LocalShard::new(h.clone())) as Box<dyn ShardBackend>)
-            .collect();
-        Self::over(bounds, rows, cols, backends)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -902,11 +874,43 @@ mod tests {
         let topo = Topology::partitioned(full.clone(), 2, 2).unwrap();
         assert_eq!(topo.shards(), 4);
         assert_eq!(topo.shape(), (2, 2));
-        // Same routing semantics as the old router.
+        // Every in-bounds point routes to exactly one shard: quadrant
+        // interiors, floor semantics on boundaries, max edges clamped
+        // inward; outside and non-finite points route nowhere.
         assert_eq!(topo.shard_of(&Point::new(0.25, 0.25)), Some(0));
+        assert_eq!(topo.shard_of(&Point::new(0.75, 0.25)), Some(1));
+        assert_eq!(topo.shard_of(&Point::new(0.25, 0.75)), Some(2));
         assert_eq!(topo.shard_of(&Point::new(0.5, 0.5)), Some(3));
+        assert_eq!(topo.shard_of(&Point::new(0.0, 0.0)), Some(0));
+        assert_eq!(topo.shard_of(&Point::new(1.0, 1.0)), Some(3));
         assert_eq!(topo.shard_of(&Point::new(1.5, 0.5)), None);
+        assert_eq!(topo.shard_of(&Point::new(f64::NAN, 0.5)), None);
+        // Ranges fan out to the intersected shards only; queries poking
+        // past the bounds clamp, disjoint or non-finite ones vanish.
         assert_eq!(topo.covering(&Rect::unit()), vec![0, 1, 2, 3]);
+        let quadrant = Rect::new(0.1, 0.1, 0.4, 0.4).unwrap();
+        assert_eq!(topo.covering(&quadrant), vec![0]);
+        let bottom = Rect::new(0.1, 0.1, 0.9, 0.4).unwrap();
+        assert_eq!(topo.covering(&bottom), vec![0, 1]);
+        let spill = Rect::new(0.6, 0.6, 9.0, 9.0).unwrap();
+        assert_eq!(topo.covering(&spill), vec![3]);
+        let disjoint = Rect::new(2.0, 2.0, 3.0, 3.0).unwrap();
+        assert!(topo.covering(&disjoint).is_empty());
+        let non_finite = Rect {
+            min_x: f64::NAN,
+            ..Rect::unit()
+        };
+        assert!(topo.covering(&non_finite).is_empty());
+        // Degenerate shard grids are rejected; uneven ones are fine.
+        for (rows, cols) in [(0, 3), (2, 0)] {
+            assert!(matches!(
+                Topology::partitioned(full.clone(), rows, cols),
+                Err(ServeError::InvalidShards { .. })
+            ));
+        }
+        let uneven = Topology::partitioned(full.clone(), 2, 3).unwrap();
+        assert_eq!(uneven.shards(), 6);
+        assert_eq!(uneven.shape(), (2, 3));
         // Every backend is a clipped local shard whose answers match the
         // single box on the points routed to it.
         for shard in topo.backends() {
@@ -998,24 +1002,6 @@ mod tests {
                 "publish must keep shards partial"
             );
             assert!(served.heap_bytes() < full_heap);
-        }
-    }
-
-    #[test]
-    fn router_migration_shim_preserves_replica_semantics() {
-        #[allow(deprecated)]
-        let router = ShardRouter::new(index(), 2, 2).unwrap();
-        let topo: Topology = router.into();
-        assert_eq!(topo.shards(), 4);
-        // Replica shards are unclipped and answer for the whole map.
-        for b in topo.backends() {
-            let local = b.as_local().unwrap();
-            assert!(local.handle().load().clip_rect().is_none());
-            assert!(local
-                .handle()
-                .load()
-                .lookup(&Point::new(0.95, 0.95))
-                .is_some());
         }
     }
 

@@ -99,7 +99,7 @@ fn metrics_endpoint_covers_every_family_over_a_real_socket() {
     let coordinator = serving
         .service_over(&spec)
         .unwrap()
-        .with_cache(CacheSpec::shared(256))
+        .with_cache(CacheSpec::per_worker(256))
         .unwrap()
         .with_lookup_sampling(1);
     let server = fsi::HttpServer::bind(coordinator, "127.0.0.1:0").unwrap();
