@@ -874,43 +874,11 @@ mod tests {
         let topo = Topology::partitioned(full.clone(), 2, 2).unwrap();
         assert_eq!(topo.shards(), 4);
         assert_eq!(topo.shape(), (2, 2));
-        // Every in-bounds point routes to exactly one shard: quadrant
-        // interiors, floor semantics on boundaries, max edges clamped
-        // inward; outside and non-finite points route nowhere.
+        // Same routing semantics as the old router.
         assert_eq!(topo.shard_of(&Point::new(0.25, 0.25)), Some(0));
-        assert_eq!(topo.shard_of(&Point::new(0.75, 0.25)), Some(1));
-        assert_eq!(topo.shard_of(&Point::new(0.25, 0.75)), Some(2));
         assert_eq!(topo.shard_of(&Point::new(0.5, 0.5)), Some(3));
-        assert_eq!(topo.shard_of(&Point::new(0.0, 0.0)), Some(0));
-        assert_eq!(topo.shard_of(&Point::new(1.0, 1.0)), Some(3));
         assert_eq!(topo.shard_of(&Point::new(1.5, 0.5)), None);
-        assert_eq!(topo.shard_of(&Point::new(f64::NAN, 0.5)), None);
-        // Ranges fan out to the intersected shards only; queries poking
-        // past the bounds clamp, disjoint or non-finite ones vanish.
         assert_eq!(topo.covering(&Rect::unit()), vec![0, 1, 2, 3]);
-        let quadrant = Rect::new(0.1, 0.1, 0.4, 0.4).unwrap();
-        assert_eq!(topo.covering(&quadrant), vec![0]);
-        let bottom = Rect::new(0.1, 0.1, 0.9, 0.4).unwrap();
-        assert_eq!(topo.covering(&bottom), vec![0, 1]);
-        let spill = Rect::new(0.6, 0.6, 9.0, 9.0).unwrap();
-        assert_eq!(topo.covering(&spill), vec![3]);
-        let disjoint = Rect::new(2.0, 2.0, 3.0, 3.0).unwrap();
-        assert!(topo.covering(&disjoint).is_empty());
-        let non_finite = Rect {
-            min_x: f64::NAN,
-            ..Rect::unit()
-        };
-        assert!(topo.covering(&non_finite).is_empty());
-        // Degenerate shard grids are rejected; uneven ones are fine.
-        for (rows, cols) in [(0, 3), (2, 0)] {
-            assert!(matches!(
-                Topology::partitioned(full.clone(), rows, cols),
-                Err(ServeError::InvalidShards { .. })
-            ));
-        }
-        let uneven = Topology::partitioned(full.clone(), 2, 3).unwrap();
-        assert_eq!(uneven.shards(), 6);
-        assert_eq!(uneven.shape(), (2, 3));
         // Every backend is a clipped local shard whose answers match the
         // single box on the points routed to it.
         for shard in topo.backends() {
@@ -930,6 +898,57 @@ mod tests {
                 .expect("guard band covers every routed point");
             assert_eq!(got, full.lookup(&p).unwrap());
         }
+    }
+
+    #[test]
+    fn construction_validates_the_shard_grid() {
+        for (rows, cols) in [(0, 3), (2, 0)] {
+            assert!(matches!(
+                Topology::partitioned(index(), rows, cols),
+                Err(ServeError::InvalidShards { .. })
+            ));
+        }
+        let uneven = Topology::partitioned(index(), 2, 3).unwrap();
+        assert_eq!(uneven.shards(), 6);
+        assert_eq!(uneven.shape(), (2, 3));
+    }
+
+    #[test]
+    fn every_in_bounds_point_routes_to_exactly_one_shard() {
+        let topo = Topology::partitioned(index(), 2, 2).unwrap();
+        // Quadrant interiors.
+        assert_eq!(topo.shard_of(&Point::new(0.25, 0.25)), Some(0));
+        assert_eq!(topo.shard_of(&Point::new(0.75, 0.25)), Some(1));
+        assert_eq!(topo.shard_of(&Point::new(0.25, 0.75)), Some(2));
+        assert_eq!(topo.shard_of(&Point::new(0.75, 0.75)), Some(3));
+        // Boundaries follow floor semantics; max edges clamp inward.
+        assert_eq!(topo.shard_of(&Point::new(0.5, 0.5)), Some(3));
+        assert_eq!(topo.shard_of(&Point::new(1.0, 1.0)), Some(3));
+        assert_eq!(topo.shard_of(&Point::new(0.0, 0.0)), Some(0));
+        // Outside / non-finite.
+        assert_eq!(topo.shard_of(&Point::new(1.5, 0.5)), None);
+        assert_eq!(topo.shard_of(&Point::new(f64::NAN, 0.5)), None);
+    }
+
+    #[test]
+    fn covering_fans_out_to_intersected_shards_only() {
+        let topo = Topology::partitioned(index(), 2, 2).unwrap();
+        assert_eq!(topo.covering(&Rect::unit()), vec![0, 1, 2, 3]);
+        let quadrant = Rect::new(0.1, 0.1, 0.4, 0.4).unwrap();
+        assert_eq!(topo.covering(&quadrant), vec![0]);
+        let bottom = Rect::new(0.1, 0.1, 0.9, 0.4).unwrap();
+        assert_eq!(topo.covering(&bottom), vec![0, 1]);
+        // Queries poking past the bounds clamp; disjoint or non-finite
+        // ones vanish.
+        let spill = Rect::new(0.6, 0.6, 9.0, 9.0).unwrap();
+        assert_eq!(topo.covering(&spill), vec![3]);
+        let disjoint = Rect::new(2.0, 2.0, 3.0, 3.0).unwrap();
+        assert!(topo.covering(&disjoint).is_empty());
+        let non_finite = Rect {
+            min_x: f64::NAN,
+            ..Rect::unit()
+        };
+        assert!(topo.covering(&non_finite).is_empty());
     }
 
     #[test]
