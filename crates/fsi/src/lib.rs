@@ -17,8 +17,10 @@
 //! [`Pipeline::run`] yields a [`Run`]: its [`Run::eval`] carries the
 //! fairness metrics (ENCE et al.), [`Run::partition`] the generated
 //! neighborhoods, [`Run::freeze`] compiles the immutable serving index,
-//! [`Run::serve`] wires it into a lock-free [`IndexHandle`] with a
-//! [`Rebuilder`], and [`Run::save_report`] persists the whole cell as
+//! [`Run::serve`] wires it into a lock-free [`IndexHandle`] that
+//! [`Serving::rebuild`] retrains into through the same two-phase
+//! publish every [`QueryService`] rebuild uses, and
+//! [`Run::save_report`] persists the whole cell as
 //! one JSON value. [`MultiPipeline`] is the multi-objective counterpart
 //! (one districting, several tasks). Everything returns the single
 //! [`FsiError`] type.
@@ -78,6 +80,6 @@ pub use fsi_resil::{
 pub use fsi_serve::{
     prometheus_text, BackendSpec, CacheError, CacheSpec, CacheStats, Decision, FrozenIndex,
     IndexHandle, IndexReader, IngestError, LocalShard, MaintenanceHandle, MaintenanceSpec,
-    MaintenanceTrigger, QueryService, RebuildReport, Rebuilder, ShardBackend, ShardDescriptor,
-    SlotConnector, SlowQueryRecord, SlowQuerySink, Topology, TopologySpec, TransportStats,
+    MaintenanceTrigger, QueryService, RebuildReport, ShardBackend, ShardDescriptor, SlotConnector,
+    SlowQueryRecord, SlowQuerySink, Topology, TopologySpec, TransportStats,
 };

@@ -13,9 +13,10 @@ use fsi_pipeline::{
     run_spec, EvalReport, Method, MethodRun, ModelKind, ModelSnapshot, PipelineSpec, RunConfig,
     TaskSpec,
 };
+use fsi_proto::{ErrorCode, Request, Response};
 use fsi_serve::{
     compile_run, CacheSpec, FrozenIndex, IndexHandle, IndexReader, MaintenanceHandle,
-    MaintenanceSpec, QueryService, RebuildReport, Rebuilder, Topology, TopologySpec,
+    MaintenanceSpec, QueryService, RebuildReport, ServeError, Topology, TopologySpec,
 };
 use serde::{Deserialize, Serialize};
 use std::net::ToSocketAddrs;
@@ -173,7 +174,7 @@ impl<'d> Pipeline<'d> {
 /// reachable. On top of that it carries the spec it was built from and
 /// the downstream transitions: [`Run::freeze`] compiles the run into an
 /// immutable [`FrozenIndex`], [`Run::serve`] additionally wires it into
-/// a hot-swappable [`IndexHandle`] with a [`Rebuilder`], and
+/// a hot-swappable [`IndexHandle`] that rebuilds retrain into, and
 /// [`Run::save_report`] persists the whole cell as one JSON value.
 #[derive(Debug, Clone)]
 pub struct Run<'d> {
@@ -253,16 +254,14 @@ impl<'d> Run<'d> {
     }
 
     /// Freezes the run and wires it for online serving: a hot-swappable
-    /// [`IndexHandle`] plus a [`Rebuilder`] publishing into it.
+    /// [`IndexHandle`] that [`Serving::rebuild`] and every service the
+    /// deployment builds publish into.
     pub fn serve(&self) -> Result<Serving<'d>, FsiError> {
-        let handle = IndexHandle::new(self.freeze()?);
-        let rebuilder = Rebuilder::new(handle.clone());
         Ok(Serving {
             dataset: self.dataset,
             shared_dataset: std::sync::OnceLock::new(),
             spec: self.spec.clone(),
-            handle,
-            rebuilder,
+            handle: IndexHandle::new(self.freeze()?),
             cache_spec: None,
             ingest_policy: None,
         })
@@ -329,7 +328,7 @@ impl<'d> Run<'d> {
 }
 
 /// A live serving deployment produced by [`Run::serve`]: the handle
-/// readers query, and the rebuilder that retrains and hot-swaps.
+/// readers query, and the services that retrain and hot-swap into it.
 pub struct Serving<'d> {
     dataset: &'d SpatialDataset,
     /// Lazily materialized shared copy of `dataset` handed to
@@ -338,7 +337,6 @@ pub struct Serving<'d> {
     shared_dataset: std::sync::OnceLock<Arc<SpatialDataset>>,
     spec: PipelineSpec,
     handle: IndexHandle,
-    rebuilder: Rebuilder,
     /// Cache configuration applied to every service this deployment
     /// builds; `None` serves uncached. Always validated before it lands
     /// here ([`Run::serve_with_cache`]).
@@ -362,11 +360,6 @@ impl Serving<'_> {
         self.handle.reader()
     }
 
-    /// The rebuilder wired into [`Serving::handle`].
-    pub fn rebuilder(&self) -> &Rebuilder {
-        &self.rebuilder
-    }
-
     /// The spec rebuilds re-execute by default.
     pub fn spec(&self) -> &PipelineSpec {
         &self.spec
@@ -376,30 +369,44 @@ impl Serving<'_> {
     /// hot-swaps the result in. Readers never block.
     ///
     /// With the original (immutable) dataset this reproduces the served
-    /// index bit-identically; the interesting rebuilds pass fresh data
-    /// via [`Serving::rebuild_on`] or a new spec via
-    /// [`Serving::rebuild_with`].
+    /// index bit-identically; a new spec goes through
+    /// [`Serving::rebuild_with`], and fresh data arrives through
+    /// ingestion ([`Run::serve_with_ingest`]).
     pub fn rebuild(&self) -> Result<RebuildReport, FsiError> {
-        self.rebuilder
-            .rebuild(self.dataset, &self.spec)
-            .map_err(FsiError::from)
-    }
-
-    /// Retrains the original spec on *fresh* data (the data-drift path)
-    /// and hot-swaps the result in. The dataset must share the grid the
-    /// deployment was built over.
-    pub fn rebuild_on(&self, dataset: &SpatialDataset) -> Result<RebuildReport, FsiError> {
-        self.rebuilder
-            .rebuild(dataset, &self.spec)
-            .map_err(FsiError::from)
+        self.rebuild_with(&self.spec)
     }
 
     /// Retrains with a different spec (e.g. a new height after data
-    /// drift) and hot-swaps the result in.
+    /// drift) and hot-swaps the result in: a `Rebuild` request to
+    /// [`Serving::service`], so it publishes through the same two-phase
+    /// barrier as every other rebuild.
+    ///
+    /// # Errors
+    ///
+    /// An invalid spec is [`FsiError::InvalidSpec`]. A deployment
+    /// created via [`Run::serve_with_ingest`] refuses outright: its
+    /// served index holds streamed points this path would drop, so it
+    /// rebuilds through `Request::Rebuild` on its ingesting service.
     pub fn rebuild_with(&self, spec: &PipelineSpec) -> Result<RebuildReport, FsiError> {
-        self.rebuilder
-            .rebuild(self.dataset, spec)
-            .map_err(FsiError::from)
+        if self.ingest_policy.is_some() {
+            return Err(FsiError::Serve(ServeError::Maintenance(
+                "this deployment ingests streamed points; rebuild through \
+                 `Request::Rebuild` on its ingesting service, which folds them in"
+                    .into(),
+            )));
+        }
+        let error = match self
+            .service()
+            .dispatch(&Request::Rebuild { spec: spec.clone() })
+        {
+            Response::Rebuilt { report } => return Ok(*report),
+            Response::Error { error } => error,
+            other => unreachable!("a rebuild answers `Rebuilt` or `Error`, got {other:?}"),
+        };
+        Err(match error.code {
+            ErrorCode::InvalidSpec => FsiError::InvalidSpec(error.message),
+            _ => FsiError::Serve(ServeError::Maintenance(error.message)),
+        })
     }
 
     /// A [`QueryService`] over this deployment's live handle: the typed
@@ -407,6 +414,11 @@ impl Serving<'_> {
     /// dispatches through. Rebuild requests retrain on this deployment's
     /// dataset; hot-swaps through [`Serving::rebuild`] and through the
     /// service are visible to each other because they share the handle.
+    ///
+    /// With ingestion configured, each call owns its own ingest log:
+    /// a service and its clones share one buffer and log, but two calls
+    /// build two independent logs, and a rebuild through one publishes
+    /// over whatever the other folded in.
     pub fn service(&self) -> QueryService {
         self.apply_ingest(
             self.apply_cache(
@@ -667,12 +679,19 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_on_fresh_data_changes_the_served_scores() {
+    fn ingested_fresh_data_changes_the_served_scores() {
+        use fsi_proto::{IngestBody, Request, Response};
         let d = dataset();
-        let serving = Pipeline::on(&d).height(3).run().unwrap().serve().unwrap();
+        let serving = Pipeline::on(&d)
+            .height(3)
+            .run()
+            .unwrap()
+            .serve_with_ingest(MaintenanceSpec::default())
+            .unwrap();
         let p = Point::new(0.5, 0.5);
         let before = serving.handle().load().lookup(&p).unwrap();
-        // Fresh data over the same grid shape: a different city draw.
+        // Fresh data over the same grid shape: a different city draw,
+        // streamed in and folded by a rebuild on the ingesting service.
         let drifted = CityGenerator::new(CityConfig {
             n_individuals: 250,
             grid_side: 16,
@@ -682,10 +701,70 @@ mod tests {
         .unwrap()
         .generate()
         .unwrap();
-        let report = serving.rebuild_on(&drifted).unwrap();
+        let task = TaskSpec::act();
+        let labels = drifted
+            .threshold_labels(&task.outcome, task.threshold)
+            .unwrap();
+        let points = drifted
+            .locations()
+            .iter()
+            .zip(&labels)
+            .enumerate()
+            .map(|(i, (q, &label))| IngestBody::new(q.x, q.y, (i % 2) as u32, label))
+            .collect();
+        let mut service = serving.service();
+        assert!(matches!(
+            service.dispatch(&Request::IngestBatch { points }),
+            Response::Ingested { accepted: 250, .. }
+        ));
+        let Response::Rebuilt { report } = service.dispatch(&Request::Rebuild {
+            spec: serving.spec().clone(),
+        }) else {
+            panic!("expected a rebuild report");
+        };
         assert_eq!(report.generation, 2);
         let after = serving.handle().load().lookup(&p).unwrap();
         assert_ne!(before.raw_score, after.raw_score);
+    }
+
+    /// On an ingesting deployment the seed-only rebuild would publish
+    /// over the points maintenance folded in; it must refuse instead.
+    #[test]
+    fn ingesting_deployments_refuse_seed_only_rebuilds() {
+        use fsi_proto::{IngestBody, Request};
+        let d = dataset();
+        let serving = Pipeline::on(&d)
+            .height(3)
+            .run()
+            .unwrap()
+            .serve_with_ingest(MaintenanceSpec::default())
+            .unwrap();
+        let probes: Vec<Point> = d.locations().iter().take(64).copied().collect();
+        let decide = || -> Vec<_> {
+            let index = serving.handle().load();
+            probes.iter().map(|p| index.lookup(p).unwrap()).collect()
+        };
+        let seed_only = decide();
+        let mut service = serving.service();
+        let points = (0..64u32)
+            .map(|i| {
+                let t = f64::from(i) / 64.0;
+                IngestBody::new(0.1 + 0.3 * t, 0.6 + 0.3 * t, i % 2, i % 3 != 0)
+            })
+            .collect();
+        service.dispatch(&Request::IngestBatch { points });
+        let policy = MaintenanceSpec {
+            max_buffered: 1,
+            ..MaintenanceSpec::default()
+        };
+        assert_eq!(service.maintain(&policy, serving.spec()).unwrap(), Some(2));
+        let folded = decide();
+        assert_ne!(folded, seed_only, "maintenance must fold the points in");
+        let err = serving.rebuild().unwrap_err();
+        assert!(err.to_string().contains("Request::Rebuild"), "{err}");
+        assert!(serving.rebuild_with(serving.spec()).is_err());
+        assert_eq!(serving.handle().generation(), 2);
+        assert_eq!(decide(), folded);
     }
 
     #[test]

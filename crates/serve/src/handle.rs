@@ -12,8 +12,10 @@
 //!   changed (i.e. once per rebuild, not per query) does the reader touch
 //!   the publish mutex to fetch the new `Arc`.
 //! * **Writers** ([`IndexHandle::publish`]) build the replacement index
-//!   *off to the side* (see [`crate::Rebuilder`]), then swap the `Arc` and
-//!   bump the generation under a mutex held for two pointer writes.
+//!   *off to the side*, then swap the `Arc` and bump the generation under
+//!   a mutex held for two pointer writes. In a service, the only writer
+//!   is [`crate::LocalShard::commit`], the second phase of the rebuild
+//!   barrier.
 //!
 //! Because a snapshot is a whole immutable `FrozenIndex` behind an `Arc`,
 //! a reader always observes either the complete old index or the complete

@@ -28,8 +28,10 @@
 //! * [`IndexHandle`] / [`IndexReader`] — lock-free reads with atomic
 //!   snapshot hot-swap (std-only `Arc` + atomics), so a rebuild never
 //!   blocks a query.
-//! * [`Rebuilder`] — re-runs the `fsi-pipeline` trainer (optionally on a
-//!   background thread) and publishes the freshly compiled index.
+//! * [`build_index`] — runs the `fsi-pipeline` trainer for one spec and
+//!   compiles the result. Every publish goes through the service's
+//!   two-phase barrier ([`LocalShard::stage`] / [`LocalShard::commit`]),
+//!   so one path retrains and hot-swaps, whatever asked for it.
 //! * [`MaintenanceHandle`] — background drift-triggered maintenance for
 //!   services built `with_ingest`: polls the delta buffer against a
 //!   [`MaintenanceSpec`], and when drift, occupancy or staleness trips,
@@ -79,7 +81,7 @@ pub use frozen::{Decision, FrozenIndex};
 pub use handle::{IndexHandle, IndexReader};
 pub use maintain::MaintenanceHandle;
 pub use obs::{prometheus_text, SlowQueryRecord, SlowQuerySink};
-pub use rebuild::{build_index, compile_run, RebuildReport, Rebuilder};
+pub use rebuild::{build_index, compile_run, RebuildReport};
 pub use service::QueryService;
 pub use topology::{
     BackendSpec, LocalShard, ShardBackend, ShardDescriptor, SlotConnector, Topology, TopologySpec,

@@ -39,9 +39,9 @@ use fsi_ingest::{
 use fsi_obs::{Recorder, Registry};
 use fsi_pipeline::{MethodRun, PipelineSpec, TaskSpec};
 use fsi_proto::{
-    CacheStatsBody, DecisionBody, ErrorCode, ErrorCountBody, HealthBody, IngestBody, MetricsBody,
-    PreparedBody, RebuildObsBody, Request, RequestKindMetrics, Response, ShardHealthBody,
-    ShardObsBody, ShardStatsBody, StatsBody, WirePoint,
+    CacheStatsBody, DecisionBody, ErrorBody, ErrorCode, ErrorCountBody, HealthBody, IngestBody,
+    MetricsBody, PreparedBody, RebuildObsBody, Request, RequestKindMetrics, Response,
+    ShardHealthBody, ShardObsBody, ShardStatsBody, StatsBody, WirePoint,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -408,7 +408,12 @@ impl QueryService {
             Request::Ingest { x, y, group, label } => self.ingest(*x, *y, *group, *label),
             Request::IngestBatch { points } => self.ingest_batch(points),
             Request::Stats => self.stats(),
-            Request::Rebuild { spec } => self.rebuild(spec),
+            Request::Rebuild { spec } => match self.rebuild(spec) {
+                Ok(report) => Response::Rebuilt {
+                    report: Box::new(report),
+                },
+                Err(error) => Response::Error { error },
+            },
             Request::RebuildPrepare { spec, delta } => self.rebuild_prepare(spec, delta.as_deref()),
             Request::RebuildCommit => self.rebuild_commit(),
             Request::RebuildAbort => self.rebuild_abort(),
@@ -1172,39 +1177,45 @@ impl QueryService {
         }
     }
 
-    /// Retrains on the rebuild dataset, mapping failures to structured
-    /// protocol errors.
-    fn build_from_spec(&self, spec: &PipelineSpec) -> Result<(FrozenIndex, MethodRun), Response> {
-        let Some(dataset) = self.rebuild_dataset.clone() else {
-            return Err(Response::error(
+    /// The one retrain step behind every rebuild: trains `spec` on the
+    /// seed dataset — merged with `delta` when one is given — and
+    /// returns the compiled global index with its pipeline run. Without
+    /// a delta it trains on the seed itself, so a plain rebuild pays no
+    /// dataset copy. The merge reads labels under
+    /// `spec.task`, as every remote shard merging the same delta does.
+    /// An ingesting service given a delta also gets the drift baseline
+    /// of the dataset it trained on, which becomes current when the
+    /// index commits.
+    fn train(
+        &self,
+        spec: &PipelineSpec,
+        delta: Option<&[IngestRecord]>,
+    ) -> Result<(FrozenIndex, MethodRun, Option<CellStats>), ErrorBody> {
+        let Some(seed) = self.rebuild_dataset.as_deref() else {
+            return Err(ErrorBody::new(
                 ErrorCode::RebuildUnavailable,
                 "this service was built without a training dataset; rebuilds are disabled",
             ));
         };
-        match build_index(&dataset, spec) {
-            Ok(built) => Ok(built),
-            Err(crate::ServeError::Pipeline(fsi_pipeline::PipelineError::InvalidConfig(msg))) => {
-                Err(Response::error(ErrorCode::InvalidSpec, msg))
+        let merged = delta
+            .map(|records| merge_dataset(seed, &spec.task, records))
+            .transpose()
+            .map_err(|e| ErrorBody::new(ErrorCode::Internal, format!("delta merge failed: {e}")))?;
+        let dataset = merged.as_ref().unwrap_or(seed);
+        let (index, run) = build_index(dataset, spec).map_err(|e| match e {
+            ServeError::Pipeline(fsi_pipeline::PipelineError::InvalidConfig(msg)) => {
+                ErrorBody::new(ErrorCode::InvalidSpec, msg)
             }
-            Err(e) => Err(Response::error(ErrorCode::Internal, e.to_string())),
-        }
-    }
-
-    /// The two-phase publish barrier behind `Rebuild`: stage the global
-    /// `index` everywhere ([`Self::prepare_all`]); only when *every*
-    /// shard holds a staged index are the commits issued. Any prepare
-    /// failure aborts all staged state and leaves the old generation
-    /// serving everywhere. A maintenance pass threads the full ingest
-    /// log through `delta` so every remote shard retrains on the
-    /// identical merged dataset; plain rebuilds pass `None`.
-    fn publish_two_phase(
-        &self,
-        index: &FrozenIndex,
-        spec: &PipelineSpec,
-        delta: Option<&[IngestBody]>,
-    ) -> Result<u64, Response> {
-        self.prepare_all(index, spec, delta)?;
-        self.commit_all(ErrorCode::Internal)
+            e => ErrorBody::new(ErrorCode::Internal, e.to_string()),
+        })?;
+        let baseline = match (&self.ingest, delta) {
+            (Some(state), Some(_)) => Some(
+                baseline_stats(dataset, &state.task)
+                    .map_err(|e| ErrorBody::new(ErrorCode::Internal, e.to_string()))?,
+            ),
+            _ => None,
+        };
+        Ok((index, run, baseline))
     }
 
     /// Phase one on every shard: stage `index` on every local shard
@@ -1220,7 +1231,7 @@ impl QueryService {
         index: &FrozenIndex,
         spec: &PipelineSpec,
         delta: Option<&[IngestBody]>,
-    ) -> Result<Option<(usize, usize)>, Response> {
+    ) -> Result<Option<(usize, usize)>, ErrorBody> {
         let backends = self.topology.backends();
         let mut staged = None;
         let mut remotes = Vec::new();
@@ -1236,7 +1247,7 @@ impl QueryService {
                 Ok(report) => staged = Some(report),
                 Err(e) => {
                     self.abort_all();
-                    return Err(Response::error(
+                    return Err(ErrorBody::new(
                         ErrorCode::Internal,
                         format!("shard {i} failed to stage: {e}"),
                     ));
@@ -1257,11 +1268,11 @@ impl QueryService {
             }
             let failure = match response {
                 Response::Prepared { .. } => continue,
-                Response::Error { error } => Response::error(
+                Response::Error { error } => ErrorBody::new(
                     error.code,
                     format!("shard {i} failed to prepare: {}", error.message),
                 ),
-                _ => Response::error(
+                _ => ErrorBody::new(
                     ErrorCode::Internal,
                     format!("shard {i} answered an unexpected prepare response"),
                 ),
@@ -1277,7 +1288,7 @@ impl QueryService {
     /// [`Request::RebuildCommit`] — and raise the generation gauge to
     /// the newest generation. A local shard with nothing staged fails
     /// with `unstaged`.
-    fn commit_all(&self, unstaged: ErrorCode) -> Result<u64, Response> {
+    fn commit_all(&self, unstaged: ErrorCode) -> Result<u64, ErrorBody> {
         let mut newest = 0;
         for (i, b) in self.topology.backends().iter().enumerate() {
             let started = Instant::now();
@@ -1286,7 +1297,7 @@ impl QueryService {
                     let committed = local.commit();
                     self.record_rebuild_phase(RebuildPhase::Commit, started);
                     committed.map_err(|e| {
-                        Response::error(unstaged, format!("shard {i} failed to commit: {e}"))
+                        ErrorBody::new(unstaged, format!("shard {i} failed to commit: {e}"))
                     })?
                 }
                 None => {
@@ -1295,13 +1306,13 @@ impl QueryService {
                     match response {
                         Response::Committed { generation } => generation,
                         Response::Error { error } => {
-                            return Err(Response::error(
+                            return Err(ErrorBody::new(
                                 error.code,
                                 format!("shard {i} failed to commit: {}", error.message),
                             ))
                         }
                         _ => {
-                            return Err(Response::error(
+                            return Err(ErrorBody::new(
                                 ErrorCode::Internal,
                                 format!("shard {i} answered an unexpected commit response"),
                             ))
@@ -1349,102 +1360,59 @@ impl QueryService {
         }
     }
 
-    fn rebuild(&mut self, spec: &PipelineSpec) -> Response {
+    /// Retrains and publishes through the two-phase barrier — the one
+    /// path behind `Rebuild` and [`Self::maintain`]: stage the global
+    /// index on every shard ([`Self::prepare_all`]) and commit only once
+    /// every shard holds it, so a failed prepare leaves the old
+    /// generation serving everywhere. With ingestion configured every
+    /// rebuild folds the buffer in — drain into the cumulative log,
+    /// retrain on `seed + log`, ship the full log as every remote
+    /// shard's delta, and make the merged dataset the drift baseline —
+    /// otherwise the published index would silently forget every
+    /// streamed point. On failure the drained records are restored:
+    /// nothing accepted is ever lost.
+    fn rebuild(&self, spec: &PipelineSpec) -> Result<RebuildReport, ErrorBody> {
         let started = Instant::now();
-        // With ingestion configured, a manual rebuild behaves like a
-        // forced maintenance pass: drain, merge the full log, publish
-        // with the delta — otherwise the published index would silently
-        // forget every streamed point.
-        if self.ingest.is_some() {
-            return self.rebuild_merged(spec, started);
-        }
-        let (index, run) = match self.build_from_spec(spec) {
-            Ok(built) => built,
-            Err(response) => return response,
-        };
-        let num_leaves = index.num_leaves();
-        let generation = match self.publish_two_phase(&index, spec, None) {
-            Ok(generation) => generation,
-            Err(response) => return response,
-        };
-        Response::Rebuilt {
-            report: Box::new(RebuildReport {
-                spec: spec.clone(),
-                generation,
-                num_leaves,
-                ence: run.eval.full.ence,
-                build_time: run.build_time,
-                total_time: started.elapsed(),
-            }),
-        }
-    }
-
-    /// The incremental-maintenance rebuild: drain the buffer into the
-    /// cumulative log, retrain on `seed + log`, and drive the two-phase
-    /// barrier with the full log as the delta. On any failure the
-    /// drained records are restored (nothing accepted is ever lost) and
-    /// the old generation keeps serving.
-    fn rebuild_merged(&mut self, spec: &PipelineSpec, started: Instant) -> Response {
-        let state = Arc::clone(self.ingest.as_ref().expect("caller checked ingest"));
-        let _guard = state.maintenance.lock().expect("maintenance lock poisoned");
-        let Some(seed) = self.rebuild_dataset.clone() else {
-            return Response::error(
-                ErrorCode::RebuildUnavailable,
-                "this service was built without a training dataset; rebuilds are disabled",
-            );
-        };
-        let drained = state.buffer.drain();
-        let drained_len = drained.len();
-        let log: Vec<IngestRecord> = {
+        let state = self.ingest.as_deref();
+        let _guard =
+            state.map(|state| state.maintenance.lock().expect("maintenance lock poisoned"));
+        let mut drained_len = 0;
+        let log: Option<Vec<IngestRecord>> = state.map(|state| {
+            let drained = state.buffer.drain();
+            drained_len = drained.len();
             let mut log = state.log.lock().expect("ingest log lock poisoned");
             log.extend(drained);
             log.clone()
-        };
-        let merged = match merge_dataset(&seed, &state.task, &log) {
-            Ok(merged) => merged,
-            Err(e) => {
-                state.restore_unmerged(drained_len);
-                return Response::error(ErrorCode::Internal, format!("delta merge failed: {e}"));
-            }
-        };
-        let (index, run) = match build_index(&merged, spec) {
-            Ok(built) => built,
-            Err(crate::ServeError::Pipeline(fsi_pipeline::PipelineError::InvalidConfig(msg))) => {
-                state.restore_unmerged(drained_len);
-                return Response::error(ErrorCode::InvalidSpec, msg);
-            }
-            Err(e) => {
-                state.restore_unmerged(drained_len);
-                return Response::error(ErrorCode::Internal, e.to_string());
-            }
-        };
-        let refreshed = match baseline_stats(&merged, &state.task) {
-            Ok(refreshed) => refreshed,
-            Err(e) => {
-                state.restore_unmerged(drained_len);
-                return Response::error(ErrorCode::Internal, e.to_string());
-            }
-        };
-        let delta: Vec<IngestBody> = log.iter().map(|r| r.to_wire()).collect();
-        let num_leaves = index.num_leaves();
-        match self.publish_two_phase(&index, spec, Some(&delta)) {
-            Ok(generation) => {
-                *state.baseline.lock().expect("baseline lock poisoned") = refreshed;
-                state.store_drift(0.0);
-                Response::Rebuilt {
-                    report: Box::new(RebuildReport {
-                        spec: spec.clone(),
-                        generation,
-                        num_leaves,
-                        ence: run.eval.full.ence,
-                        build_time: run.build_time,
-                        total_time: started.elapsed(),
-                    }),
+        });
+        let published = self
+            .train(spec, log.as_deref())
+            .and_then(|(index, run, baseline)| {
+                let delta: Option<Vec<IngestBody>> =
+                    log.map(|log| log.iter().map(IngestRecord::to_wire).collect());
+                self.prepare_all(&index, spec, delta.as_deref())?;
+                let report = RebuildReport {
+                    spec: spec.clone(),
+                    generation: self.commit_all(ErrorCode::Internal)?,
+                    num_leaves: index.num_leaves(),
+                    ence: run.eval.full.ence,
+                    build_time: run.build_time,
+                    total_time: started.elapsed(),
+                };
+                Ok((report, baseline))
+            });
+        match published {
+            Ok((report, baseline)) => {
+                if let (Some(state), Some(baseline)) = (state, baseline) {
+                    *state.baseline.lock().expect("baseline lock poisoned") = baseline;
+                    state.store_drift(0.0);
                 }
+                Ok(report)
             }
-            Err(response) => {
-                state.restore_unmerged(drained_len);
-                response
+            Err(error) => {
+                if let Some(state) = state {
+                    state.restore_unmerged(drained_len);
+                }
+                Err(error)
             }
         }
     }
@@ -1475,23 +1443,19 @@ impl QueryService {
         {
             return Ok(None);
         }
-        let started = Instant::now();
-        match self.rebuild_merged(spec, started) {
-            Response::Rebuilt { report } => {
+        match self.rebuild(spec) {
+            Ok(report) => {
                 if let Some(obs) = &self.obs {
-                    obs.maintenance.record(saturating_nanos(started.elapsed()));
+                    obs.maintenance.record(saturating_nanos(report.total_time));
                 }
                 Ok(Some(report.generation))
             }
-            Response::Error { error } => {
+            Err(error) => {
                 // Keep the failure visible in the scrape even though no
                 // transport dispatched this pass.
                 self.count_error(error.code);
                 Err(ServeError::Maintenance(error.message))
             }
-            other => Err(ServeError::Maintenance(format!(
-                "unexpected rebuild response: {other:?}"
-            ))),
         }
     }
 
@@ -1507,58 +1471,30 @@ impl QueryService {
     /// labels are interpreted under rides in `spec.task`, so a shard
     /// needs no ingestion configuration of its own to participate.
     fn rebuild_prepare(&mut self, spec: &PipelineSpec, delta: Option<&[IngestBody]>) -> Response {
-        let (index, run) = match delta {
-            None => match self.build_from_spec(spec) {
-                Ok(built) => built,
-                Err(response) => return response,
-            },
-            Some(points) => {
-                let Some(seed) = self.rebuild_dataset.clone() else {
-                    return Response::error(
-                        ErrorCode::RebuildUnavailable,
-                        "this service was built without a training dataset; rebuilds are disabled",
-                    );
-                };
-                let records: Vec<IngestRecord> = points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, b)| IngestRecord::from_wire(i as u64, b))
-                    .collect();
-                let merged = match merge_dataset(&seed, &spec.task, &records) {
-                    Ok(merged) => merged,
-                    Err(e) => {
-                        return Response::error(
-                            ErrorCode::Internal,
-                            format!("delta merge failed: {e}"),
-                        )
-                    }
-                };
-                let built = match build_index(&merged, spec) {
-                    Ok(built) => built,
-                    Err(crate::ServeError::Pipeline(
-                        fsi_pipeline::PipelineError::InvalidConfig(msg),
-                    )) => return Response::error(ErrorCode::InvalidSpec, msg),
-                    Err(e) => return Response::error(ErrorCode::Internal, e.to_string()),
-                };
-                // This shard's own drift baseline moves with the commit:
-                // stage the refreshed statistics alongside the index.
-                if let Some(state) = &self.ingest {
-                    match baseline_stats(&merged, &state.task) {
-                        Ok(b) => {
-                            *state.pending.lock().expect("pending lock poisoned") = Some(b);
-                        }
-                        Err(e) => return Response::error(ErrorCode::Internal, e.to_string()),
-                    }
-                }
-                built
-            }
+        let records: Option<Vec<IngestRecord>> = delta.map(|points| {
+            points
+                .iter()
+                .enumerate()
+                .map(|(i, b)| IngestRecord::from_wire(i as u64, b))
+                .collect()
+        });
+        let (index, run, baseline) = match self.train(spec, records.as_deref()) {
+            Ok(trained) => trained,
+            Err(error) => return Response::Error { error },
         };
+        // This shard's drift baseline moves with the commit: stage the
+        // statistics of the dataset this prepare trained on — or none,
+        // for a delta-less prepare — replacing whatever a superseded
+        // prepare staged.
+        if let Some(state) = &self.ingest {
+            *state.pending.lock().expect("pending lock poisoned") = baseline;
+        }
         // The staged footprint reported back: the clipped footprint for
         // the common single-shard server, the global index's otherwise.
         let report = match self.prepare_all(&index, spec, delta) {
             Ok(Some(staged)) if self.slots.len() == 1 => staged,
             Ok(_) => (index.num_leaves(), index.heap_bytes()),
-            Err(response) => return response,
+            Err(error) => return Response::Error { error },
         };
         Response::Prepared {
             prepared: Box::new(PreparedBody {
@@ -1589,7 +1525,7 @@ impl QueryService {
     fn rebuild_commit(&mut self) -> Response {
         let newest = match self.commit_all(ErrorCode::NotPrepared) {
             Ok(newest) => newest,
-            Err(response) => return response,
+            Err(error) => return Response::Error { error },
         };
         // A delta prepare staged a refreshed drift baseline; committing
         // the merged index makes it current. The local buffer and log
@@ -2016,6 +1952,32 @@ mod tests {
                 assert!(error.message.contains("height"), "{}", error.message);
             }
             other => panic!("expected error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rebuild_reclips_partial_shards() {
+        let mut svc = QueryService::new(Topology::partitioned(index(), 2, 2).unwrap())
+            .with_rebuild(dataset());
+        let spec = PipelineSpec::new(
+            fsi_pipeline::TaskSpec::act(),
+            fsi_pipeline::Method::MedianKd,
+            3,
+        );
+        let (full, _) = build_index(&dataset(), &spec).unwrap();
+        let full_heap = full.heap_bytes();
+        let Response::Rebuilt { report } = svc.dispatch(&Request::Rebuild { spec }) else {
+            panic!("expected rebuild report");
+        };
+        assert_eq!(report.generation, 2);
+        assert_eq!(svc.topology().generations(), vec![2, 2, 2, 2]);
+        for b in svc.topology().backends() {
+            let served = b.as_local().unwrap().handle().load();
+            assert!(
+                served.clip_rect().is_some(),
+                "a rebuild must keep shards partial"
+            );
+            assert!(served.heap_bytes() < full_heap);
         }
     }
 
@@ -2596,6 +2558,40 @@ mod tests {
             Response::Ingested { generation, .. } => assert_eq!(generation, 2),
             other => panic!("expected ingested, got {other:?}"),
         }
+    }
+
+    /// A delta-less prepare supersedes the baseline an earlier delta
+    /// prepare staged: its commit must not drain points the committed
+    /// index never folded in.
+    #[test]
+    fn delta_less_prepare_supersedes_a_staged_delta_baseline() {
+        let mut svc = ingest_service((1, 1)).with_metrics(true);
+        let point = fsi_proto::IngestBody::new(0.5, 0.5, 0, true);
+        assert!(matches!(
+            svc.dispatch(&Request::Ingest {
+                x: point.x,
+                y: point.y,
+                group: point.group,
+                label: point.label,
+            }),
+            Response::Ingested { .. }
+        ));
+        for delta in [Some(vec![point]), None] {
+            let response = svc.dispatch(&Request::RebuildPrepare {
+                spec: ingest_spec(),
+                delta,
+            });
+            assert!(
+                matches!(response, Response::Prepared { .. }),
+                "{response:?}"
+            );
+        }
+        assert_eq!(
+            svc.dispatch(&Request::RebuildCommit),
+            Response::Committed { generation: 2 }
+        );
+        let ingest = svc.metrics_snapshot().ingest.expect("ingest telemetry");
+        assert_eq!(ingest.buffered, 1, "the committed index never folded it");
     }
 
     #[test]

@@ -752,38 +752,6 @@ impl Topology {
         out
     }
 
-    /// Stages and commits a replica of the global `index` on every
-    /// **local** shard (clipping partial shards) — the one-box publish
-    /// path. Fails without touching anything if any shard is remote:
-    /// remote fleets are rebuilt through the two-phase protocol
-    /// (`RebuildPrepare` / `RebuildCommit`) by a coordinator service.
-    pub fn publish(&self, index: FrozenIndex) -> Result<u64, ServeError> {
-        let locals: Vec<&LocalShard> = self
-            .backends
-            .iter()
-            .map(|b| {
-                b.as_local().ok_or_else(|| {
-                    ServeError::InvalidTopology(
-                        "cannot publish directly to a remote shard; use a two-phase rebuild".into(),
-                    )
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        for local in &locals {
-            if let Err(e) = local.stage(&index) {
-                for local in &locals {
-                    local.abort();
-                }
-                return Err(e);
-            }
-        }
-        let mut newest = 0;
-        for local in &locals {
-            newest = newest.max(local.commit()?);
-        }
-        Ok(newest)
-    }
-
     /// Per-shard generations, in shard order (remote shards may need a
     /// round-trip; `0` means unreachable).
     pub fn generations(&self) -> Vec<u64> {
@@ -1002,26 +970,6 @@ mod tests {
         shard.stage(&next).unwrap();
         shard.abort();
         assert!(matches!(shard.commit(), Err(ServeError::NotStaged)));
-    }
-
-    #[test]
-    fn publish_reclips_partial_shards() {
-        let topo = Topology::partitioned(index(), 2, 2).unwrap();
-        let grid = Grid::unit(8).unwrap();
-        let partition = Partition::uniform(&grid, 2, 2).unwrap();
-        let snapshot = ModelSnapshot::uniform(4, 0.9).unwrap();
-        let next = FrozenIndex::from_partition(&partition, &grid, &snapshot).unwrap();
-        let full_heap = next.heap_bytes();
-        assert_eq!(topo.publish(next).unwrap(), 2);
-        assert_eq!(topo.generations(), vec![2, 2, 2, 2]);
-        for b in topo.backends() {
-            let served = b.as_local().unwrap().handle().load();
-            assert!(
-                served.clip_rect().is_some(),
-                "publish must keep shards partial"
-            );
-            assert!(served.heap_bytes() < full_heap);
-        }
     }
 
     #[test]
